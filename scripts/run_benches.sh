@@ -3,10 +3,11 @@
 # machine-readable output into one JSON-lines file at the repo root
 # (BENCH_PR10.json): each bench prints human tables plus `{"bench":...}`
 # lines; only the JSON lines are collected. A bench exiting non-zero
-# (a failed acceptance threshold) fails the script.
+# (a failed acceptance threshold) fails the script; pipefail keeps its exit
+# code through the `| tee`.
 #
 # Usage: scripts/run_benches.sh [output-file]   (default: BENCH_PR10.json)
-set -eu
+set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 OUT="${1:-$ROOT/BENCH_PR10.json}"

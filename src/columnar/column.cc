@@ -524,4 +524,99 @@ Column ColumnBuilder::Finish() {
   return c;
 }
 
+int ComparePlainRows(const Column& col, size_t a, size_t b) {
+  const bool null_a = col.IsNull(a), null_b = col.IsNull(b);
+  if (null_a || null_b) {
+    return static_cast<int>(null_b) - static_cast<int>(null_a);
+  }
+  switch (col.type()) {
+    case DataType::kInt64:
+    case DataType::kTimestamp: {
+      const int64_t x = col.int64_data()[a], y = col.int64_data()[b];
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    case DataType::kDouble: {
+      const double x = col.double_data()[a], y = col.double_data()[b];
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    case DataType::kBool:
+      return static_cast<int>(col.bool_data()[a] != 0) -
+             static_cast<int>(col.bool_data()[b] != 0);
+    case DataType::kString:
+    case DataType::kBytes:
+      return col.string_data()[a].compare(col.string_data()[b]);
+  }
+  return 0;
+}
+
+Result<Column> ReplaceWhere(const Column& col, const std::vector<uint8_t>& mask,
+                            const Value& v) {
+  const DataType type = col.type();
+  if (!v.is_null()) {
+    // Type check (and its error) exactly as the row-by-row builder does.
+    ColumnBuilder probe(type);
+    BL_RETURN_NOT_OK(probe.AppendValue(v));
+  }
+  const Column src = col.Decode();
+  const size_t n = src.length();
+  const bool set_null = v.is_null();
+  // Keep[i]: row i retains its own non-NULL value.
+  auto keep = [&](size_t i) { return mask[i] == 0 && !src.IsNull(i); };
+  std::vector<uint8_t> validity(n);
+  bool any_null = false;
+  for (size_t i = 0; i < n; ++i) {
+    validity[i] = mask[i] != 0 ? !set_null : !src.IsNull(i);
+    any_null |= validity[i] == 0;
+  }
+  if (!any_null) validity.clear();
+  switch (type) {
+    case DataType::kInt64:
+    case DataType::kTimestamp: {
+      const int64_t x = set_null ? 0 : v.int64_value();
+      const int64_t* in = src.int64_data().data();
+      std::vector<int64_t> out(n);
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = keep(i) ? in[i] : (mask[i] != 0 ? x : 0);
+      }
+      return type == DataType::kTimestamp
+                 ? Column::MakeTimestamp(std::move(out), std::move(validity))
+                 : Column::MakeInt64(std::move(out), std::move(validity));
+    }
+    case DataType::kDouble: {
+      const double x = set_null ? 0.0 : v.AsDouble();
+      const double* in = src.double_data().data();
+      std::vector<double> out(n);
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = keep(i) ? in[i] : (mask[i] != 0 ? x : 0.0);
+      }
+      return Column::MakeDouble(std::move(out), std::move(validity));
+    }
+    case DataType::kBool: {
+      const uint8_t x = !set_null && v.bool_value() ? 1 : 0;
+      const uint8_t* in = src.bool_data().data();
+      std::vector<uint8_t> out(n);
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = keep(i) ? (in[i] != 0 ? 1 : 0) : (mask[i] != 0 ? x : 0);
+      }
+      return Column::MakeBool(std::move(out), std::move(validity));
+    }
+    case DataType::kString:
+    case DataType::kBytes: {
+      const std::string_view x =
+          set_null ? std::string_view() : std::string_view(v.string_value());
+      const StringBuffer& in = src.string_data();
+      StringBufferBuilder out;
+      for (size_t i = 0; i < n; ++i) {
+        out.Append(keep(i) ? in[i]
+                           : (mask[i] != 0 ? x : std::string_view()));
+      }
+      return type == DataType::kBytes
+                 ? Column::MakeBytes(out.Finish(),
+                                     WrapIfNonEmpty(std::move(validity)))
+                 : Column::MakeString(out.Finish(), std::move(validity));
+    }
+  }
+  return Status::InvalidArgument("unknown column type");
+}
+
 }  // namespace biglake

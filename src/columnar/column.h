@@ -183,6 +183,18 @@ class ColumnBuilder {
   std::vector<uint8_t> validity_;
 };
 
+/// Three-way comparison of rows `a` and `b` of a plain-encoded column in
+/// Value::Compare order (NULL first), without boxing either value.
+int ComparePlainRows(const Column& col, size_t a, size_t b);
+
+/// UPDATE's rewrite: a plain copy of `col` with every row where `mask` is
+/// non-zero set to `v`, identical to appending each row's boxed value (or
+/// `v`) to a ColumnBuilder — NULL rows hold the builder's placeholder and
+/// validity is present only when a NULL remains. `v` must be NULL or fit
+/// the column type, as for ColumnBuilder::AppendValue.
+Result<Column> ReplaceWhere(const Column& col, const std::vector<uint8_t>& mask,
+                            const Value& v);
+
 }  // namespace biglake
 
 #endif  // BIGLAKE_COLUMNAR_COLUMN_H_

@@ -642,35 +642,4 @@ std::vector<uint8_t> BoolColumnToMask(const Column& col) {
   return mask;
 }
 
-ColumnStats ComputeColumnStats(const Column& col) {
-  ColumnStats stats;
-  stats.row_count = col.length();
-  std::set<std::string> distinct_strings;
-  std::set<int64_t> distinct_ints;
-  bool first = true;
-  for (size_t i = 0; i < col.length(); ++i) {
-    Value v = col.GetValue(i);
-    if (v.is_null()) {
-      ++stats.null_count;
-      continue;
-    }
-    if (v.is_string()) {
-      distinct_strings.insert(v.string_value());
-    } else if (v.is_int64()) {
-      distinct_ints.insert(v.int64_value());
-    }
-    if (first) {
-      stats.min = v;
-      stats.max = v;
-      first = false;
-    } else {
-      if (v < stats.min) stats.min = v;
-      if (stats.max < v) stats.max = v;
-    }
-  }
-  stats.distinct_count = std::max(distinct_strings.size(),
-                                  distinct_ints.size());
-  return stats;
-}
-
 }  // namespace biglake

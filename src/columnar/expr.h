@@ -134,8 +134,9 @@ class Expr {
 /// Converts a BOOL result column into a filter mask: NULL -> 0 (excluded).
 std::vector<uint8_t> BoolColumnToMask(const Column& col);
 
-/// Computes ColumnStats (min/max/null/distinct) over a plain column;
-/// used when building Big Metadata entries and Parquet-lite footers.
+/// Computes ColumnStats (min/max/null/distinct) over a column of any
+/// encoding; used when building Big Metadata entries and Parquet-lite
+/// footers. distinct_count is exact for this column (stats.cc).
 ColumnStats ComputeColumnStats(const Column& col);
 
 }  // namespace biglake

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 
+#include "columnar/kernels.h"
 #include "common/strings.h"
 #include "format/object_source.h"
 #include "format/parquet_lite.h"
@@ -168,76 +169,29 @@ Result<uint64_t> BlmtService::MultiTableInsert(
 Result<uint64_t> BlmtService::Delete(const Principal& principal,
                                      const std::string& table_id,
                                      const ExprPtr& predicate) {
-  obs::ScopedSpan span("blmt:delete", obs::Span::kRpc);
-  CountDml("delete");
-  if (transactional()) {
-    BL_ASSIGN_OR_RETURN(std::unique_ptr<meta::LakehouseTxn> txn,
-                        BeginTransaction({table_id}));
-    Result<uint64_t> staged = TxnDelete(txn.get(), principal, table_id,
-                                        predicate);
-    if (!staged.ok()) {
-      (void)AbortTransaction(txn.get());
-      return staged.status();
-    }
-    BL_RETURN_NOT_OK(CommitTransaction(txn.get()).status());
-    return staged;
-  }
-  BL_ASSIGN_OR_RETURN(const TableDef* table,
-                      CheckedTable(principal, table_id, Role::kWriter));
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("DELETE requires a predicate");
-  }
-  // Only files whose statistics admit matches are rewritten.
-  BL_ASSIGN_OR_RETURN(PrunedFiles candidates,
-                      env_->meta().PruneFiles(table_id, predicate));
-  uint64_t deleted = 0;
-  std::vector<std::string> removals;
-  std::vector<CachedFileMeta> additions;
-  for (const CachedFileMeta& file : candidates.files) {
-    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(*table, file));
-    BL_ASSIGN_OR_RETURN(Column match, predicate->Evaluate(data));
-    std::vector<uint8_t> mask = BoolColumnToMask(match);
-    uint64_t matches =
-        std::accumulate(mask.begin(), mask.end(), uint64_t{0});
-    if (matches == 0) continue;  // false positive from stats
-    deleted += matches;
-    removals.push_back(file.file.path);
-    // Keep the non-matching remainder.
-    for (auto& m : mask) m = m ? 0 : 1;
-    RecordBatch remainder = data.Filter(mask);
-    if (remainder.num_rows() > 0) {
-      BL_ASSIGN_OR_RETURN(CachedFileMeta rewritten,
-                          WriteDataFile(*table, remainder));
-      additions.push_back(std::move(rewritten));
-    }
-  }
-  if (!removals.empty()) {
-    // Rewritten files must never be served from cache again: drop every
-    // cached generation/projection before swapping them out.
-    for (const std::string& path : removals) {
-      env_->block_cache().InvalidateObject(
-          CloudProviderName(table->location.provider), table->bucket, path);
-    }
-    BL_RETURN_NOT_OK(env_->meta()
-                         .SwapFiles(table_id, std::move(removals),
-                                    std::move(additions))
-                         .status());
-    env_->result_cache().InvalidateTable(table_id);
-  }
-  return deleted;
+  return RunDml(principal, table_id, predicate, nullptr);
 }
 
 Result<uint64_t> BlmtService::Update(
     const Principal& principal, const std::string& table_id,
     const ExprPtr& predicate,
     const std::map<std::string, Value>& assignments) {
-  obs::ScopedSpan span("blmt:update", obs::Span::kRpc);
-  CountDml("update");
+  return RunDml(principal, table_id, predicate, &assignments);
+}
+
+Result<uint64_t> BlmtService::RunDml(const Principal& principal,
+                                     const std::string& table_id,
+                                     const ExprPtr& predicate,
+                                     const Assignments* assignments) {
+  const bool update = assignments != nullptr;
+  obs::ScopedSpan span(update ? "blmt:update" : "blmt:delete",
+                       obs::Span::kRpc);
+  CountDml(update ? "update" : "delete");
   if (transactional()) {
     BL_ASSIGN_OR_RETURN(std::unique_ptr<meta::LakehouseTxn> txn,
                         BeginTransaction({table_id}));
     Result<uint64_t> staged =
-        TxnUpdate(txn.get(), principal, table_id, predicate, assignments);
+        StageDml(txn.get(), principal, table_id, predicate, assignments);
     if (!staged.ok()) {
       (void)AbortTransaction(txn.get());
       return staged.status();
@@ -245,63 +199,116 @@ Result<uint64_t> BlmtService::Update(
     BL_RETURN_NOT_OK(CommitTransaction(txn.get()).status());
     return staged;
   }
-  BL_ASSIGN_OR_RETURN(const TableDef* table,
-                      CheckedTable(principal, table_id, Role::kWriter));
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("UPDATE requires a predicate");
-  }
-  for (const auto& [col, val] : assignments) {
-    if (table->schema->FieldIndex(col) < 0) {
-      return Status::NotFound(StrCat("no column `", col, "`"));
-    }
-    (void)val;
-  }
-  BL_ASSIGN_OR_RETURN(PrunedFiles candidates,
-                      env_->meta().PruneFiles(table_id, predicate));
-  uint64_t updated = 0;
-  std::vector<std::string> removals;
-  std::vector<CachedFileMeta> additions;
-  for (const CachedFileMeta& file : candidates.files) {
-    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(*table, file));
-    BL_ASSIGN_OR_RETURN(Column match, predicate->Evaluate(data));
-    std::vector<uint8_t> mask = BoolColumnToMask(match);
-    uint64_t matches =
-        std::accumulate(mask.begin(), mask.end(), uint64_t{0});
-    if (matches == 0) continue;
-    updated += matches;
-    removals.push_back(file.file.path);
-    // Rebuild the file with assignments applied to matching rows.
-    std::vector<Column> cols;
-    for (size_t c = 0; c < data.num_columns(); ++c) {
-      const Field& f = data.schema()->field(c);
-      auto ait = assignments.find(f.name);
-      if (ait == assignments.end()) {
-        cols.push_back(data.column(c));
-        continue;
-      }
-      ColumnBuilder builder(f.type);
-      for (size_t r = 0; r < data.num_rows(); ++r) {
-        BL_RETURN_NOT_OK(builder.AppendValue(
-            mask[r] ? ait->second : data.GetValue(r, c)));
-      }
-      cols.push_back(builder.Finish());
-    }
-    RecordBatch rewritten(data.schema(), std::move(cols));
-    BL_ASSIGN_OR_RETURN(CachedFileMeta meta, WriteDataFile(*table, rewritten));
-    additions.push_back(std::move(meta));
-  }
-  if (!removals.empty()) {
-    for (const std::string& path : removals) {
+  BL_ASSIGN_OR_RETURN(DmlRewrite rewrite,
+                      RewriteMatching(principal, table_id, predicate,
+                                      assignments, kLatestTxn));
+  if (!rewrite.removals.empty()) {
+    // Rewritten files must never be served from cache again: drop every
+    // cached generation/projection before swapping them out.
+    for (const std::string& path : rewrite.removals) {
       env_->block_cache().InvalidateObject(
-          CloudProviderName(table->location.provider), table->bucket, path);
+          CloudProviderName(rewrite.table->location.provider),
+          rewrite.table->bucket, path);
     }
     BL_RETURN_NOT_OK(env_->meta()
-                         .SwapFiles(table_id, std::move(removals),
-                                    std::move(additions))
+                         .SwapFiles(table_id, std::move(rewrite.removals),
+                                    std::move(rewrite.additions))
                          .status());
     env_->result_cache().InvalidateTable(table_id);
   }
-  return updated;
+  return rewrite.rows;
+}
+
+Result<BlmtService::DmlRewrite> BlmtService::RewriteMatching(
+    const Principal& principal, const std::string& table_id,
+    const ExprPtr& predicate, const Assignments* assignments,
+    uint64_t snapshot_txn) {
+  const char* statement = assignments == nullptr ? "DELETE" : "UPDATE";
+  DmlRewrite rewrite;
+  BL_ASSIGN_OR_RETURN(rewrite.table,
+                      CheckedTable(principal, table_id, Role::kWriter));
+  const TableDef& table = *rewrite.table;
+  if (predicate == nullptr) {
+    return Status::InvalidArgument(
+        StrCat(statement, " requires a predicate"));
+  }
+  if (assignments != nullptr) {
+    for (const auto& [col, val] : *assignments) {
+      if (table.schema->FieldIndex(col) < 0) {
+        return Status::NotFound(StrCat("no column `", col, "`"));
+      }
+      (void)val;
+    }
+  }
+  // Only files whose statistics admit matches are rewritten.
+  BL_ASSIGN_OR_RETURN(PrunedFiles candidates,
+                      env_->meta().PruneFiles(table_id, predicate,
+                                              snapshot_txn));
+  for (const CachedFileMeta& file : candidates.files) {
+    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(table, file));
+    BL_ASSIGN_OR_RETURN(kernels::BoolVec match,
+                        kernels::EvaluatePredicate(*predicate, data));
+    std::vector<uint8_t> mask = kernels::BoolVecToMask(match);
+    uint64_t matches =
+        std::accumulate(mask.begin(), mask.end(), uint64_t{0});
+    if (matches == 0) continue;  // false positive from stats
+    rewrite.rows += matches;
+    rewrite.removals.push_back(file.file.path);
+    RecordBatch rewritten;
+    if (assignments == nullptr) {
+      // Keep the non-matching remainder.
+      for (auto& m : mask) m = m ? 0 : 1;
+      rewritten = data.Filter(mask);
+      if (rewritten.num_rows() == 0) continue;
+    } else {
+      // Rebuild the file with assignments applied to matching rows. BYTES
+      // columns can read back as dictionary STRING, so rebuilt columns
+      // take their type from the schema.
+      std::vector<Column> cols;
+      for (size_t c = 0; c < data.num_columns(); ++c) {
+        const Field& f = data.schema()->field(c);
+        auto ait = assignments->find(f.name);
+        if (ait == assignments->end()) {
+          cols.push_back(data.column(c));
+          continue;
+        }
+        BL_ASSIGN_OR_RETURN(
+            Column col,
+            ReplaceWhere(data.column(c).WithType(f.type), mask, ait->second));
+        cols.push_back(std::move(col));
+      }
+      rewritten = RecordBatch(data.schema(), std::move(cols));
+    }
+    BL_ASSIGN_OR_RETURN(CachedFileMeta meta, WriteDataFile(table, rewritten));
+    rewrite.additions.push_back(std::move(meta));
+  }
+  return rewrite;
+}
+
+Result<uint64_t> BlmtService::StageDml(meta::LakehouseTxn* txn,
+                                       const Principal& principal,
+                                       const std::string& table_id,
+                                       const ExprPtr& predicate,
+                                       const Assignments* assignments) {
+  if (txn->state() != meta::LakehouseTxn::State::kOpen) {
+    return Status::FailedPrecondition("transaction is not open");
+  }
+  if (txn->HasRemoves(table_id)) {
+    return Status::InvalidArgument(
+        StrCat("transaction already rewrites `", table_id,
+               "` (one rewriting statement per table per transaction)"));
+  }
+  // Candidates resolve against the transaction's pinned snapshot: the
+  // statement sees the world as of Begin, and the commit-time liveness check
+  // turns any concurrent rewrite of these files into a conflict abort.
+  BL_ASSIGN_OR_RETURN(DmlRewrite rewrite,
+                      RewriteMatching(principal, table_id, predicate,
+                                      assignments, txn->snapshot().meta_txn));
+  if (!rewrite.removals.empty()) {
+    txn->RemoveFiles(table_id, std::move(rewrite.removals));
+    txn->AddFiles(table_id, std::move(rewrite.additions));
+  }
+  return rewrite.rows;
 }
 
 Result<RecordBatch> BlmtService::ReadAll(const std::string& table_id,
@@ -351,114 +358,14 @@ Result<uint64_t> BlmtService::TxnDelete(meta::LakehouseTxn* txn,
                                         const Principal& principal,
                                         const std::string& table_id,
                                         const ExprPtr& predicate) {
-  if (txn->state() != meta::LakehouseTxn::State::kOpen) {
-    return Status::FailedPrecondition("transaction is not open");
-  }
-  if (txn->HasRemoves(table_id)) {
-    return Status::InvalidArgument(
-        StrCat("transaction already rewrites `", table_id,
-               "` (one rewriting statement per table per transaction)"));
-  }
-  BL_ASSIGN_OR_RETURN(const TableDef* table,
-                      CheckedTable(principal, table_id, Role::kWriter));
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("DELETE requires a predicate");
-  }
-  // Candidates resolve against the transaction's pinned snapshot: the
-  // statement sees the world as of Begin, and the commit-time liveness check
-  // turns any concurrent rewrite of these files into a conflict abort.
-  BL_ASSIGN_OR_RETURN(PrunedFiles candidates,
-                      env_->meta().PruneFiles(table_id, predicate,
-                                              txn->snapshot().meta_txn));
-  uint64_t deleted = 0;
-  std::vector<std::string> removals;
-  std::vector<CachedFileMeta> additions;
-  for (const CachedFileMeta& file : candidates.files) {
-    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(*table, file));
-    BL_ASSIGN_OR_RETURN(Column match, predicate->Evaluate(data));
-    std::vector<uint8_t> mask = BoolColumnToMask(match);
-    uint64_t matches =
-        std::accumulate(mask.begin(), mask.end(), uint64_t{0});
-    if (matches == 0) continue;
-    deleted += matches;
-    removals.push_back(file.file.path);
-    for (auto& m : mask) m = m ? 0 : 1;
-    RecordBatch remainder = data.Filter(mask);
-    if (remainder.num_rows() > 0) {
-      BL_ASSIGN_OR_RETURN(CachedFileMeta rewritten,
-                          WriteDataFile(*table, remainder));
-      additions.push_back(std::move(rewritten));
-    }
-  }
-  if (!removals.empty()) {
-    txn->RemoveFiles(table_id, std::move(removals));
-    txn->AddFiles(table_id, std::move(additions));
-  }
-  return deleted;
+  return StageDml(txn, principal, table_id, predicate, nullptr);
 }
 
 Result<uint64_t> BlmtService::TxnUpdate(
     meta::LakehouseTxn* txn, const Principal& principal,
     const std::string& table_id, const ExprPtr& predicate,
     const std::map<std::string, Value>& assignments) {
-  if (txn->state() != meta::LakehouseTxn::State::kOpen) {
-    return Status::FailedPrecondition("transaction is not open");
-  }
-  if (txn->HasRemoves(table_id)) {
-    return Status::InvalidArgument(
-        StrCat("transaction already rewrites `", table_id,
-               "` (one rewriting statement per table per transaction)"));
-  }
-  BL_ASSIGN_OR_RETURN(const TableDef* table,
-                      CheckedTable(principal, table_id, Role::kWriter));
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("UPDATE requires a predicate");
-  }
-  for (const auto& [col, val] : assignments) {
-    if (table->schema->FieldIndex(col) < 0) {
-      return Status::NotFound(StrCat("no column `", col, "`"));
-    }
-    (void)val;
-  }
-  BL_ASSIGN_OR_RETURN(PrunedFiles candidates,
-                      env_->meta().PruneFiles(table_id, predicate,
-                                              txn->snapshot().meta_txn));
-  uint64_t updated = 0;
-  std::vector<std::string> removals;
-  std::vector<CachedFileMeta> additions;
-  for (const CachedFileMeta& file : candidates.files) {
-    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(*table, file));
-    BL_ASSIGN_OR_RETURN(Column match, predicate->Evaluate(data));
-    std::vector<uint8_t> mask = BoolColumnToMask(match);
-    uint64_t matches =
-        std::accumulate(mask.begin(), mask.end(), uint64_t{0});
-    if (matches == 0) continue;
-    updated += matches;
-    removals.push_back(file.file.path);
-    std::vector<Column> cols;
-    for (size_t c = 0; c < data.num_columns(); ++c) {
-      const Field& f = data.schema()->field(c);
-      auto ait = assignments.find(f.name);
-      if (ait == assignments.end()) {
-        cols.push_back(data.column(c));
-        continue;
-      }
-      ColumnBuilder builder(f.type);
-      for (size_t r = 0; r < data.num_rows(); ++r) {
-        BL_RETURN_NOT_OK(builder.AppendValue(
-            mask[r] ? ait->second : data.GetValue(r, c)));
-      }
-      cols.push_back(builder.Finish());
-    }
-    RecordBatch rewritten(data.schema(), std::move(cols));
-    BL_ASSIGN_OR_RETURN(CachedFileMeta meta, WriteDataFile(*table, rewritten));
-    additions.push_back(std::move(meta));
-  }
-  if (!removals.empty()) {
-    txn->RemoveFiles(table_id, std::move(removals));
-    txn->AddFiles(table_id, std::move(additions));
-  }
-  return updated;
+  return StageDml(txn, principal, table_id, predicate, &assignments);
 }
 
 Result<uint64_t> BlmtService::CommitTransaction(meta::LakehouseTxn* txn) {
@@ -522,17 +429,15 @@ Result<OptimizeReport> BlmtService::OptimizeStorage(
     for (size_t i = 0; i < order.size(); ++i) {
       order[i] = static_cast<uint32_t>(i);
     }
-    std::vector<int> key_cols;
+    std::vector<Column> keys;
     for (const auto& col : cit->second) {
       int idx = merged.schema()->FieldIndex(col);
-      if (idx >= 0) key_cols.push_back(idx);
+      if (idx >= 0) keys.push_back(merged.column(idx).Decode());
     }
     std::stable_sort(order.begin(), order.end(),
                      [&](uint32_t a, uint32_t b) {
-                       for (int c : key_cols) {
-                         int cmp = merged.GetValue(a, static_cast<size_t>(c))
-                                       .Compare(merged.GetValue(
-                                           b, static_cast<size_t>(c)));
+                       for (const Column& key : keys) {
+                         int cmp = ComparePlainRows(key, a, b);
                          if (cmp != 0) return cmp < 0;
                        }
                        return false;

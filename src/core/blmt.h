@@ -161,6 +161,35 @@ class BlmtService {
   Result<RecordBatch> ReadFile(const TableDef& table,
                                const CachedFileMeta& file);
 
+  // DELETE and UPDATE share one path; `assignments == nullptr` is DELETE.
+  using Assignments = std::map<std::string, Value>;
+  /// What one DELETE/UPDATE statement does to the table's files.
+  struct DmlRewrite {
+    const TableDef* table = nullptr;
+    uint64_t rows = 0;  // rows deleted or updated
+    std::vector<std::string> removals;
+    std::vector<CachedFileMeta> additions;
+  };
+  /// Autocommit statement: through the coordinator when transactional,
+  /// else one metadata swap.
+  Result<uint64_t> RunDml(const Principal& principal,
+                          const std::string& table_id,
+                          const ExprPtr& predicate,
+                          const Assignments* assignments);
+  /// Stages the statement's rewrite in `txn`.
+  Result<uint64_t> StageDml(meta::LakehouseTxn* txn,
+                            const Principal& principal,
+                            const std::string& table_id,
+                            const ExprPtr& predicate,
+                            const Assignments* assignments);
+  /// Checks, prunes candidates as of `snapshot_txn`, reads each, matches
+  /// rows with the predicate kernels and writes the rewritten files.
+  Result<DmlRewrite> RewriteMatching(const Principal& principal,
+                                     const std::string& table_id,
+                                     const ExprPtr& predicate,
+                                     const Assignments* assignments,
+                                     uint64_t snapshot_txn);
+
   LakehouseEnv* env_;
   BlmtOptions options_;
   std::map<std::string, std::vector<std::string>> clustering_;

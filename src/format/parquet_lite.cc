@@ -1,8 +1,9 @@
 #include "format/parquet_lite.h"
 
-#include <map>
-#include <set>
+#include <optional>
+#include <string_view>
 
+#include "columnar/flat_id_map.h"
 #include "common/coding.h"
 #include "common/strings.h"
 
@@ -63,43 +64,58 @@ Status ParquetWriter::Append(const RecordBatch& batch) {
 
 namespace {
 
-/// Re-encodes a plain column with the cheapest applicable encoding.
-Column ChooseEncoding(const Column& col, const ParquetWriteOptions& opts) {
-  Column plain = col.Decode();
-  if (IsStringPhysical(plain.type()) && plain.length() > 0) {
-    // Dictionary-encode when cardinality is low enough. The map keys are
-    // views into the plain column's arena (heterogeneous lookup); distinct
-    // values are appended once into the dictionary arena.
-    std::map<std::string_view, uint32_t, std::less<>> dict_map;
-    std::vector<uint32_t> indices;
-    indices.reserve(plain.length());
-    StringBufferBuilder dict;
-    bool viable = true;
-    for (size_t i = 0; i < plain.length(); ++i) {
-      const std::string_view s =
-          plain.IsNull(i) ? std::string_view() : plain.string_data()[i];
-      auto [it, inserted] = dict_map.try_emplace(
-          s, static_cast<uint32_t>(dict.size()));
-      if (inserted) {
-        dict.Append(s);
-        if (dict.size() > opts.dict_max_card ||
-            static_cast<double>(dict.size()) >
-                opts.dict_cardinality_ratio *
-                    static_cast<double>(plain.length())) {
-          viable = false;
-          break;
-        }
+/// Dictionary-encodes string column `col` (plain or dictionary input): one
+/// entry per distinct value in order of first appearance, a NULL row reading
+/// as "". Returns nullopt once the cardinality exceeds dict_max_card or
+/// dict_cardinality_ratio of the rows. Dictionary input is remapped through
+/// its indices, resolving each referenced entry once instead of per row.
+std::optional<Column> DictionaryEncode(const Column& col,
+                                       const ParquetWriteOptions& opts) {
+  const size_t n = col.length();
+  const bool encoded = col.encoding() == Encoding::kDictionary;
+  const StringBuffer& values = encoded ? col.dictionary() : col.string_data();
+  // The entry each source position was assigned (-1 = not yet resolved).
+  std::vector<int32_t> remap(encoded ? values.size() : 0, -1);
+  int32_t null_entry = -1;
+  FlatIdMap<std::string_view> ids;
+  std::vector<uint32_t> indices;
+  indices.reserve(n);
+  StringBufferBuilder dict;
+  for (size_t i = 0; i < n; ++i) {
+    const bool is_null = col.IsNull(i);
+    const size_t pos = encoded && !is_null ? col.dict_indices()[i] : i;
+    int32_t* cached =
+        is_null ? &null_entry : (encoded ? &remap[pos] : nullptr);
+    if (cached != nullptr && *cached >= 0) {
+      indices.push_back(static_cast<uint32_t>(*cached));
+      continue;
+    }
+    const std::string_view s = is_null ? std::string_view() : values[pos];
+    auto [id, inserted] = ids.Insert(s);
+    if (inserted) {
+      dict.Append(s);
+      if (dict.size() > opts.dict_max_card ||
+          static_cast<double>(dict.size()) >
+              opts.dict_cardinality_ratio * static_cast<double>(n)) {
+        return std::nullopt;
       }
-      indices.push_back(it->second);
     }
-    if (viable) {
-      // Validity is shared with the plain column, not copied.
-      return Column::MakeDictionaryString(
-          Buffer<uint32_t>::FromVector(std::move(indices)), dict.Finish(),
-          plain.validity());
-    }
-    return plain;
+    if (cached != nullptr) *cached = static_cast<int32_t>(id);
+    indices.push_back(id);
   }
+  // Validity is shared with the input column, not copied.
+  return Column::MakeDictionaryString(
+      Buffer<uint32_t>::FromVector(std::move(indices)), dict.Finish(),
+      col.validity());
+}
+
+/// Re-encodes a column with the cheapest applicable encoding.
+Column ChooseEncoding(const Column& col, const ParquetWriteOptions& opts) {
+  if (IsStringPhysical(col.type()) && col.length() > 0) {
+    std::optional<Column> dict = DictionaryEncode(col, opts);
+    return dict ? *std::move(dict) : col.Decode();
+  }
+  Column plain = col.Decode();
   if (IsIntegerPhysical(plain.type()) && plain.length() > 0 &&
       !plain.has_validity()) {
     // RLE when runs are long on average.

@@ -184,6 +184,115 @@ TEST(ParquetLiteTest, NullsSurviveRoundTrip) {
   EXPECT_EQ(rb->GetValue(2, 0), Value::Int64(7));
 }
 
+// ---- Writer byte identity ---------------------------------------------------
+// The writer re-encodes dictionary input by remapping its indices instead of
+// decoding it; the file must not depend on the input's encoding.
+
+RecordBatch DecodedCopy(const RecordBatch& batch) {
+  std::vector<Column> cols;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    cols.push_back(batch.column(c).Decode());
+  }
+  return RecordBatch(batch.schema(), std::move(cols));
+}
+
+/// A dictionary column with duplicate and unused entries; `distinct` values
+/// are referenced, one row in `null_one_in` is NULL (0 = no validity).
+Column DictionaryColumn(Random* rng, size_t rows, size_t distinct,
+                        uint64_t null_one_in) {
+  std::vector<std::string> dict = {""};  // also what a NULL row reads as
+  for (size_t i = 1; i < distinct; ++i) {
+    dict.push_back("v" + std::to_string(i));
+    if (i % 3 == 0) dict.push_back("v" + std::to_string(i));  // duplicate
+  }
+  const size_t used = dict.size();
+  dict.push_back("never-used");
+  dict.push_back("");  // unused duplicate
+  std::vector<uint32_t> indices(rows);
+  for (auto& idx : indices) idx = static_cast<uint32_t>(rng->Uniform(used));
+  std::vector<uint8_t> validity;
+  if (null_one_in > 0) {
+    validity.resize(rows);
+    for (auto& v : validity) v = rng->OneIn(null_one_in) ? 0 : 1;
+  }
+  return Column::MakeDictionaryString(std::move(indices), std::move(dict),
+                                      std::move(validity));
+}
+
+void ExpectSameFileAsDecoded(const RecordBatch& batch,
+                             ParquetWriteOptions opts) {
+  auto encoded = WriteParquetFile(batch, opts);
+  auto decoded = WriteParquetFile(DecodedCopy(batch), opts);
+  ASSERT_TRUE(encoded.ok());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(*encoded == *decoded);
+}
+
+TEST(ParquetLiteTest, DictionaryInputWritesSameBytesAsDecoded) {
+  auto schema = MakeSchema({{"s", DataType::kString, true}});
+  ParquetWriteOptions opts;
+  opts.row_group_size = 300;
+  opts.dict_max_card = 40;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Random rng(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // With nulls, without validity, all NULL, and above dict_max_card.
+    for (auto [distinct, null_one_in] :
+         {std::pair<size_t, uint64_t>{5, 4}, {12, 0}, {3, 1}, {90, 5}}) {
+      std::vector<Column> cols{
+          DictionaryColumn(&rng, 1000, distinct, null_one_in)};
+      RecordBatch batch(schema, std::move(cols));
+      ExpectSameFileAsDecoded(batch, opts);
+      ExpectSameFileAsDecoded(batch.Slice(17, 700), opts);
+    }
+  }
+}
+
+TEST(ParquetLiteTest, DictionaryInputAboveRatioWritesSameBytesAsDecoded) {
+  // Above dict_cardinality_ratio (default options) the column stays plain.
+  auto schema = MakeSchema({{"s", DataType::kString, true}});
+  Random rng(7);
+  std::vector<Column> cols{DictionaryColumn(&rng, 200, 150, 9)};
+  ExpectSameFileAsDecoded(RecordBatch(schema, std::move(cols)), {});
+}
+
+TEST(ParquetLiteTest, MixedBatchFileBytesArePinned) {
+  auto schema = MakeSchema({{"id", DataType::kInt64, false},
+                            {"day", DataType::kTimestamp, false},
+                            {"price", DataType::kDouble, true},
+                            {"flag", DataType::kBool, true},
+                            {"region", DataType::kString, true},
+                            {"tag", DataType::kBytes, true},
+                            {"note", DataType::kString, true}});
+  Random rng(2024);
+  static const char* kRegions[] = {"east", "west", "", "north"};
+  BatchBuilder b(schema);
+  for (size_t i = 0; i < 1000; ++i) {
+    std::vector<Value> row;
+    row.push_back(Value::Int64(static_cast<int64_t>(rng.Uniform(5000)) - 100));
+    row.push_back(Value::Timestamp(1700000000000000 +
+                                   static_cast<int64_t>(i / 50) * 86400000000));
+    row.push_back(rng.OneIn(7) ? Value::Null()
+                               : Value::Double(rng.NextDouble() * 10 - 5));
+    row.push_back(rng.OneIn(5) ? Value::Null() : Value::Bool(rng.OneIn(2)));
+    row.push_back(rng.OneIn(9) ? Value::Null()
+                               : Value::String(kRegions[rng.Uniform(4)]));
+    row.push_back(Value::String(std::string("t\0", 2) +
+                                std::to_string(rng.Uniform(3))));
+    row.push_back(rng.OneIn(11) ? Value::Null()
+                                : Value::String(rng.NextString(6)));
+    ASSERT_TRUE(b.AppendRow(row).ok());
+  }
+  ParquetWriteOptions opts;
+  opts.row_group_size = 256;
+  auto bytes = WriteParquetFile(b.Finish(), opts);
+  ASSERT_TRUE(bytes.ok());
+  // Pinned from the writer with boxed statistics and map-based dictionary
+  // encoding: footer, statistics and column chunks must stay identical.
+  EXPECT_EQ(bytes->size(), 24509u);
+  EXPECT_EQ(Fnv1a64(*bytes), 8484682911730693041ull);
+}
+
 // ---- Iceberg-lite ----------------------------------------------------------
 
 class IcebergTest : public ::testing::Test {
