@@ -25,13 +25,14 @@ do_docs()  { "$ROOT/scripts/check_metrics_doc.sh"; }
 
 # Expression-kernel correctness must never depend on the compiler actually
 # vectorizing the flat loops: rebuild with auto-vectorization disabled and
-# re-run the columnar/engine/kernel suites against the same assertions.
+# re-run the columnar/engine/kernel suites (join kernel included) against
+# the same assertions.
 do_novec() {
   cmake -B "$ROOT/build-novec" -S "$ROOT" \
     -DCMAKE_CXX_FLAGS=-fno-tree-vectorize
   cmake --build "$ROOT/build-novec" -j "$JOBS" \
-    --target columnar_test engine_test expr_kernels_test
-  for t in columnar_test engine_test expr_kernels_test; do
+    --target columnar_test engine_test expr_kernels_test join_kernel_test
+  for t in columnar_test engine_test expr_kernels_test join_kernel_test; do
     "$ROOT/build-novec/tests/$t"
   done
 }

@@ -61,6 +61,17 @@ class FlatIdMap {
     }
   }
 
+  /// True if `key` was inserted (a read-only probe: safe to call from many
+  /// threads once inserts are done).
+  bool Contains(const Key& key) const {
+    size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
+      uint32_t slot = slots_[i];
+      if (slot == 0) return false;
+      if (keys_[slot - 1] == key) return true;
+    }
+  }
+
   size_t size() const { return keys_.size(); }
 
  private:

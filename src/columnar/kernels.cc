@@ -1,8 +1,12 @@
 #include "columnar/kernels.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <optional>
+#include <string_view>
 
+#include "columnar/flat_id_map.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -741,6 +745,119 @@ Result<BoolVec> EvalLogical(const Expr& e, const RecordBatch& batch) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Long IN-lists: the list resolves once into a typed set probed per lane.
+// ---------------------------------------------------------------------------
+
+/// Lists longer than this probe a typed set per lane; shorter ones keep one
+/// accumulating flat loop per item, which is cheaper for a handful of items.
+constexpr size_t kInListSetMinItems = 16;
+
+/// Membership over int64 keys: a dense bitmap when the key span is small,
+/// else a flat hash set.
+class Int64Set {
+ public:
+  explicit Int64Set(const std::vector<int64_t>& keys) {
+    if (keys.empty()) return;
+    auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+    base_ = static_cast<uint64_t>(*lo);
+    // Unsigned arithmetic: a span from INT64_MIN to INT64_MAX cannot
+    // overflow.
+    span_ = static_cast<uint64_t>(*hi) - base_;
+    if (span_ < std::max<uint64_t>(keys.size() * 64, uint64_t{1} << 16)) {
+      bits_.assign(span_ / 64 + 1, 0);
+      for (int64_t k : keys) {
+        const uint64_t off = static_cast<uint64_t>(k) - base_;
+        bits_[off >> 6] |= uint64_t{1} << (off & 63);
+      }
+    } else {
+      hash_ = FlatIdMap<int64_t>(keys.size());
+      for (int64_t k : keys) hash_.Insert(k);
+    }
+  }
+
+  /// o[i] |= (a[i] is in the set).
+  void Probe(const int64_t* a, size_t n, uint8_t* o) const {
+    if (!bits_.empty()) {
+      const uint64_t* bits = bits_.data();
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t off = static_cast<uint64_t>(a[i]) - base_;
+        o[i] |= off <= span_ && ((bits[off >> 6] >> (off & 63)) & 1) != 0;
+      }
+    } else if (hash_.size() > 0) {
+      for (size_t i = 0; i < n; ++i) o[i] |= hash_.Contains(a[i]) ? 1 : 0;
+    }
+  }
+
+ private:
+  uint64_t base_ = 0;
+  uint64_t span_ = 0;
+  std::vector<uint64_t> bits_;
+  FlatIdMap<int64_t> hash_;
+};
+
+int64_t DoubleKey(double d) {
+  if (d == 0.0) d = 0.0;  // -0.0 equals 0.0
+  int64_t key;
+  std::memcpy(&key, &d, sizeof(key));
+  return key;
+}
+
+/// Long numeric IN-list over a numeric lane span, with exactly the flat
+/// loops' semantics: NULL and non-numeric items never match, NaN never
+/// matches, -0.0 == 0.0, and an int64 lane equals a double item d iff
+/// double(lane) == d (so above 2^53 one item can match several lanes).
+void InListNumericSet(const NumVec& nv, const std::vector<Value>& items,
+                      size_t n, uint8_t* o) {
+  if (nv.is_double) {
+    // Double lanes compare as doubles: key every item by its normalized
+    // bit pattern. NaN items are dropped, so NaN lanes find nothing.
+    FlatIdMap<int64_t> set(items.size());
+    for (const Value& item : items) {
+      if (item.is_int64()) {
+        set.Insert(DoubleKey(static_cast<double>(item.int64_value())));
+      } else if (item.is_double() && !std::isnan(item.double_value())) {
+        set.Insert(DoubleKey(item.double_value()));
+      }
+    }
+    const double* a = nv.f64_data();
+    for (size_t i = 0; i < n; ++i) o[i] |= set.Contains(DoubleKey(a[i]));
+    return;
+  }
+  // int64 lanes. double(lane) is always integral, and exact below 2^53: an
+  // integral double item under 2^53 matches exactly that int64, a
+  // fractional one nothing. Wider items (and infinities) can match lanes
+  // that round onto them, so they are checked in double space.
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  std::vector<int64_t> keys;
+  std::vector<double> wide;
+  keys.reserve(items.size());
+  for (const Value& item : items) {
+    if (item.is_int64()) {
+      keys.push_back(item.int64_value());
+    } else if (item.is_double()) {
+      const double d = item.double_value();
+      if (std::isnan(d)) continue;
+      if (std::fabs(d) >= kExact) {
+        wide.push_back(d);
+      } else if (d == std::trunc(d)) {
+        keys.push_back(static_cast<int64_t>(d));
+      }
+    }
+  }
+  const int64_t* a = nv.i64_data();
+  Int64Set(keys).Probe(a, n, o);
+  if (!wide.empty()) {
+    std::sort(wide.begin(), wide.end());
+    for (size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(a[i]);
+      if (std::fabs(x) >= kExact) {
+        o[i] |= std::binary_search(wide.begin(), wide.end(), x) ? 1 : 0;
+      }
+    }
+  }
+}
+
 Result<BoolVec> EvalInList(const Expr& e, const RecordBatch& batch) {
   const Expr& child = *e.children()[0];
   const size_t n = batch.num_rows();
@@ -778,22 +895,36 @@ Result<BoolVec> EvalInList(const Expr& e, const RecordBatch& batch) {
       out.data.assign(n, 0);
       const auto& data = col->string_data();
       uint8_t* o = out.data.data();
-      for (const Value& item : items) {
-        if (!item.is_string()) continue;
-        const std::string& s = item.string_value();
-        for (size_t i = 0; i < n; ++i) o[i] |= data[i] == s;
+      if (items.size() > kInListSetMinItems) {
+        FlatIdMap<std::string_view> set(items.size());
+        for (const Value& item : items) {
+          if (item.is_string()) set.Insert(item.string_value());
+        }
+        for (size_t i = 0; i < n; ++i) o[i] = set.Contains(data[i]) ? 1 : 0;
+      } else {
+        for (const Value& item : items) {
+          if (!item.is_string()) continue;
+          const std::string& s = item.string_value();
+          for (size_t i = 0; i < n; ++i) o[i] |= data[i] == s;
+        }
       }
       ApplyValidity(&out, valid, nullptr);
       return out;
     }
   }
-  // Numeric child (plain/RLE column or arithmetic): one accumulating flat
-  // loop per IN-list item. An empty list yields all-false (nulls stay null).
+  // Numeric child (plain/RLE column or arithmetic): a typed set for long
+  // lists, else one accumulating flat loop per IN-list item. An empty list
+  // yields all-false (nulls stay null).
   BL_ASSIGN_OR_RETURN(std::optional<NumVec> nv, EvalNum(child, batch));
   if (!nv.has_value() || nv->is_scalar) return FallbackPred(e, batch);
   BoolVec out;
   out.data.assign(n, 0);
   uint8_t* o = out.data.data();
+  if (items.size() > kInListSetMinItems) {
+    InListNumericSet(*nv, items, n, o);
+    ApplyValidity(&out, nv->valid_data(), nullptr);
+    return out;
+  }
   for (const Value& item : items) {
     if (item.is_null()) continue;  // NULL never equals anything
     if (item.is_int64()) {

@@ -22,6 +22,15 @@ void CountDml(const char* op) {
       ->Increment();
 }
 
+/// A one-file list. An initializer list would deep-copy the file's
+/// metadata (path, per-column stats); on the commit path right after a
+/// large query that copy alone took tens of microseconds in the allocator.
+std::vector<CachedFileMeta> OneFile(CachedFileMeta file) {
+  std::vector<CachedFileMeta> files;
+  files.push_back(std::move(file));
+  return files;
+}
+
 }  // namespace
 
 Status BlmtService::CreateTable(TableDef def,
@@ -117,7 +126,8 @@ Result<uint64_t> BlmtService::Insert(const Principal& principal,
   }
   BL_ASSIGN_OR_RETURN(CachedFileMeta file, WriteDataFile(*table, rows));
   BL_ASSIGN_OR_RETURN(uint64_t txn,
-                      env_->meta().AppendFiles(table_id, {file}));
+                      env_->meta().AppendFiles(table_id,
+                                               OneFile(std::move(file))));
   // Every DML commit moves the table generation; reclaim dependent cached
   // results eagerly (the generation key already fences them).
   env_->result_cache().InvalidateTable(table_id);
@@ -156,7 +166,7 @@ Result<uint64_t> BlmtService::MultiTableInsert(
           StrCat("insert schema does not match table `", table_id, "`"));
     }
     BL_ASSIGN_OR_RETURN(CachedFileMeta file, WriteDataFile(*table, rows));
-    txn.AddFiles(table_id, {file});
+    txn.AddFiles(table_id, OneFile(std::move(file)));
   }
   BL_ASSIGN_OR_RETURN(uint64_t commit_txn, txn.Commit());
   for (const auto& [table_id, rows] : inserts) {
@@ -350,7 +360,7 @@ Status BlmtService::TxnInsert(meta::LakehouseTxn* txn,
         StrCat("insert schema does not match table `", table_id, "`"));
   }
   BL_ASSIGN_OR_RETURN(CachedFileMeta file, WriteDataFile(*table, rows));
-  txn->AddFiles(table_id, {std::move(file)});
+  txn->AddFiles(table_id, OneFile(std::move(file)));
   return Status::OK();
 }
 

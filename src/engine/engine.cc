@@ -565,28 +565,16 @@ Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
                       ExecuteNode(principal, probe_plan, stats));
   const std::vector<uint32_t>* probe_sel =
       probe.sel.has_value() ? &probe.sel->ids() : nullptr;
-  // Logical (selected) row counts everywhere: spans, thresholds and CPU
-  // charges match the legacy path exactly, whether or not the inputs carry
-  // deferred selections.
+  // Logical (selected) row counts everywhere: spans and CPU charges match
+  // the legacy path exactly, whether or not the inputs carry deferred
+  // selections.
   obs::AddCurrentSpanNum("build_rows", build.num_rows());
   obs::AddCurrentSpanNum("probe_rows", probe.num_rows());
   uint64_t matches = 0;
-  RecordBatch joined;
-  if (options_.num_workers > 1 &&
-      build.num_rows() + probe.num_rows() >=
-          options_.parallel_row_threshold) {
-    // Radix-partitioned parallel join; output identical to the serial path.
-    BL_ASSIGN_OR_RETURN(
-        joined, ops::PartitionedHashJoin(pool(), build.batch, probe.batch,
-                                         build_keys, probe_keys, &matches,
-                                         options_.num_workers, build_sel,
-                                         probe_sel));
-  } else {
-    BL_ASSIGN_OR_RETURN(
-        joined, ops::HashJoinBatches(build.batch, probe.batch, build_keys,
-                                     probe_keys, &matches, build_sel,
-                                     probe_sel));
-  }
+  BL_ASSIGN_OR_RETURN(
+      RecordBatch joined,
+      ops::HashJoin(pool(), build.batch, probe.batch, build_keys, probe_keys,
+                    &matches, build_sel, probe_sel));
   // Building the hash table costs ~4x per row vs probing: picking
   // the smaller build side (stats-driven) matters.
   ChargeCpu(build.num_rows() * 4 + probe.num_rows() + matches, stats);

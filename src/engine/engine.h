@@ -14,8 +14,8 @@
 //   * Real parallelism with deterministic merges: `num_workers` sizes an
 //     actual work-stealing thread pool. Scans fan one pool task out per
 //     read stream (the paper's unit of scan parallelism) and concatenate
-//     batches in stream order; large joins radix-partition build and probe
-//     across the pool and merge matches back into probe-row order; large
+//     batches in stream order; joins probe fixed row chunks across the
+//     pool and concatenate their matches in chunk order; large
 //     aggregations compute chunked partial states merged in chunk order.
 //     Every parallel region charges simulated costs into per-task shards
 //     that are folded back serial-equivalently (see common/sim_env.h), so
@@ -54,9 +54,10 @@ struct EngineOptions {
   uint64_t dpp_max_keys = 4096;
   /// CPU cost per value flowing through a vectorized operator.
   double cpu_micros_per_value = 0.002;
-  /// Joins and aggregations go parallel only past this many input rows;
-  /// below it the serial kernels run (identical results, no pool overhead).
-  /// Scans parallelize per read stream whenever num_workers > 1.
+  /// Aggregations go parallel only past this many input rows; below it the
+  /// serial kernel runs (no pool overhead). Scans parallelize per read
+  /// stream whenever num_workers > 1; join probes run in fixed chunks on
+  /// the pool at any size.
   uint64_t parallel_row_threshold = 8192;
   /// Read-stream fan-out requested per scan session. 0 = one stream per
   /// worker. A fixed value decouples the query shape (stream partitioning,

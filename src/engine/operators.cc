@@ -3,27 +3,17 @@
 #include "columnar/aggregate.h"
 
 #include <algorithm>
-#include <map>
+#include <cstring>
+#include <functional>
 #include <set>
-#include <unordered_map>
 
-#include "columnar/ipc.h"
+#include "common/coding.h"
 #include "common/strings.h"
 
 namespace biglake {
 namespace ops {
 
 namespace {
-
-std::string RowKey(const RecordBatch& batch, const std::vector<int>& cols,
-                   size_t row) {
-  std::string key;
-  for (int c : cols) {
-    // Same bytes as EncodeValue(GetValue), without boxing each cell.
-    EncodeColumnValue(&key, batch.column(static_cast<size_t>(c)), row);
-  }
-  return key;
-}
 
 Result<std::vector<int>> ResolveColumns(const RecordBatch& batch,
                                         const std::vector<std::string>& names) {
@@ -40,53 +30,263 @@ Result<std::vector<int>> ResolveColumns(const RecordBatch& batch,
   return out;
 }
 
-/// Gathers matched rows and stitches the joined schema (probe columns
-/// colliding with build names get a "_r" suffix). Shared by the serial and
-/// partitioned join paths so both produce identical output.
-RecordBatch AssembleJoinOutput(const RecordBatch& build,
-                               const RecordBatch& probe,
-                               const std::vector<uint32_t>& build_rows,
-                               const std::vector<uint32_t>& probe_rows) {
-  RecordBatch build_out = build.Gather(build_rows);
-  RecordBatch probe_out = probe.Gather(probe_rows);
-  std::vector<Field> fields;
-  std::vector<Column> cols;
-  std::set<std::string> used;
-  for (size_t c = 0; c < build_out.num_columns(); ++c) {
-    fields.push_back(build_out.schema()->field(c));
-    used.insert(fields.back().name);
-    cols.push_back(build_out.column(c));
+// ---------------------------------------------------------------------------
+// Typed join keys.
+// ---------------------------------------------------------------------------
+
+/// Key-equality class. EncodeColumnValue writes one value tag per class, so
+/// two non-NULL keys can be byte-equal only within the same class: INT64
+/// and TIMESTAMP share a class, as do STRING and BYTES (plain or
+/// dictionary-encoded).
+enum class KeyClass : uint8_t { kBool, kInt, kDouble, kString };
+
+KeyClass ClassOf(DataType t) {
+  if (t == DataType::kBool) return KeyClass::kBool;
+  if (t == DataType::kDouble) return KeyClass::kDouble;
+  if (IsStringPhysical(t)) return KeyClass::kString;
+  return KeyClass::kInt;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// Boxing-free view of one key column: plain data is read in place,
+/// dictionary strings through their indices (each entry hashed once), RLE
+/// runs decoded once. Within a class, equality is exactly the byte equality
+/// of EncodeColumnValue: int64 values, double bit patterns (so -0.0 != 0.0
+/// and equal NaN payloads match), bool truth values, string bytes.
+struct KeyColumn {
+  KeyClass cls = KeyClass::kInt;
+  const uint8_t* valid = nullptr;
+  const int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const uint8_t* b8 = nullptr;
+  const StringBuffer* strings = nullptr;  // plain values or the dictionary
+  const uint32_t* dict = nullptr;         // dictionary indices, if encoded
+  std::vector<int64_t> decoded;           // expanded RLE runs
+  std::vector<uint64_t> dict_hash;        // per dictionary entry
+
+  explicit KeyColumn(const Column& col) : cls(ClassOf(col.type())) {
+    if (col.has_validity()) valid = col.validity().data();
+    switch (col.encoding()) {
+      case Encoding::kPlain:
+        switch (cls) {
+          case KeyClass::kInt: i64 = col.int64_data().data(); break;
+          case KeyClass::kDouble: f64 = col.double_data().data(); break;
+          case KeyClass::kBool: b8 = col.bool_data().data(); break;
+          case KeyClass::kString: strings = &col.string_data(); break;
+        }
+        break;
+      case Encoding::kDictionary:
+        strings = &col.dictionary();
+        dict = col.dict_indices().data();
+        // Hash the dictionary once unless it dwarfs the column (a short
+        // slice over a large dictionary hashes its rows instead).
+        if (strings->size() <= col.length()) {
+          dict_hash.resize(strings->size());
+          for (size_t d = 0; d < strings->size(); ++d) {
+            dict_hash[d] = HashString((*strings)[d]);
+          }
+        }
+        break;
+      case Encoding::kRunLength: {
+        decoded.reserve(col.length());
+        const auto& values = col.run_values();
+        const auto& lengths = col.run_lengths();
+        for (size_t r = 0; r < values.size(); ++r) {
+          decoded.insert(decoded.end(), lengths[r], values[r]);
+        }
+        i64 = decoded.data();
+        break;
+      }
+    }
   }
-  for (size_t c = 0; c < probe_out.num_columns(); ++c) {
-    Field f = probe_out.schema()->field(c);
+
+  static uint64_t HashString(std::string_view s) {
+    return Mix64(std::hash<std::string_view>()(s));
+  }
+  std::string_view Str(uint32_t r) const {
+    return (*strings)[dict != nullptr ? dict[r] : r];
+  }
+  /// Row hash; for the fixed-width classes a bijection of the key.
+  uint64_t Hash(uint32_t r) const {
+    switch (cls) {
+      case KeyClass::kInt: return Mix64(static_cast<uint64_t>(i64[r]));
+      case KeyClass::kDouble: return Mix64(DoubleBits(f64[r]));
+      case KeyClass::kBool: return Mix64(b8[r] != 0 ? 1 : 0);
+      case KeyClass::kString:
+        return !dict_hash.empty() ? dict_hash[dict[r]] : HashString(Str(r));
+    }
+    return 0;
+  }
+};
+
+bool KeyEqual(const KeyColumn& a, uint32_t ra, const KeyColumn& b,
+              uint32_t rb) {
+  switch (a.cls) {
+    case KeyClass::kInt: return a.i64[ra] == b.i64[rb];
+    case KeyClass::kDouble:
+      return DoubleBits(a.f64[ra]) == DoubleBits(b.f64[rb]);
+    case KeyClass::kBool: return (a.b8[ra] != 0) == (b.b8[rb] != 0);
+    case KeyClass::kString: return a.Str(ra) == b.Str(rb);
+  }
+  return false;
+}
+
+/// One side of a join: its key columns and the logical -> original row map
+/// (identity without a selection).
+struct JoinSide {
+  std::vector<KeyColumn> keys;
+  const std::vector<uint32_t>* sel = nullptr;
+  size_t n = 0;
+
+  uint32_t Orig(size_t j) const {
+    return sel != nullptr ? (*sel)[j] : static_cast<uint32_t>(j);
+  }
+
+  /// Combined key hashes of logical rows [begin, end) into `hash`, and
+  /// `skip[j]` = 1 for rows with any NULL key (NULL never joins).
+  void HashRows(size_t begin, size_t end, uint64_t* hash,
+                uint8_t* skip) const {
+    const size_t count = end - begin;
+    std::fill_n(skip, count, 0);
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const KeyColumn& kc = keys[k];
+      for (size_t j = 0; j < count; ++j) {
+        const uint32_t r = Orig(begin + j);
+        const uint64_t h = kc.Hash(r);
+        hash[j] = k == 0 ? h : Mix64(hash[j]) ^ h;
+        if (kc.valid != nullptr) skip[j] |= kc.valid[r] == 0;
+      }
+    }
+  }
+};
+
+bool RowsEqual(const JoinSide& a, uint32_t ra, const JoinSide& b,
+               uint32_t rb) {
+  for (size_t k = 0; k < a.keys.size(); ++k) {
+    if (!KeyEqual(a.keys[k], ra, b.keys[k], rb)) return false;
+  }
+  return true;
+}
+
+/// Probe chunk width. Fixed, so the chunk boundaries (and with them the
+/// concatenated match order) never depend on the worker count.
+constexpr size_t kProbeChunkRows = 16 * 1024;
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+/// Flat open-addressing table over the build side. Each distinct key owns
+/// one slot holding its hash and the head/tail of its chain of logical
+/// build rows; `next` links the chain in ascending row order.
+class JoinTable {
+ public:
+  JoinTable(const JoinSide& build, bool exact_hash)
+      : build_(build), exact_(exact_hash), next_(build.n, kNoRow) {
+    size_t cap = 16;
+    while (cap < build.n * 2) cap *= 2;
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+  }
+
+  /// Inserts logical build row `j`; rows must arrive in ascending order.
+  void Insert(uint32_t j, uint64_t h) {
+    const uint32_t r = build_.Orig(j);
+    for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.head == kNoRow) {
+        s = Slot{h, j, j};
+        return;
+      }
+      if (s.hash == h &&
+          (exact_ || RowsEqual(build_, build_.Orig(s.head), build_, r))) {
+        next_[s.tail] = j;
+        s.tail = j;
+        return;
+      }
+    }
+  }
+
+  /// Head of the chain matching probe row `r` of `probe`, or kNoRow.
+  uint32_t Find(uint64_t h, const JoinSide& probe, uint32_t r) const {
+    for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.head == kNoRow) return kNoRow;
+      if (s.hash == h &&
+          (exact_ || RowsEqual(build_, build_.Orig(s.head), probe, r))) {
+        return s.head;
+      }
+    }
+  }
+
+  uint32_t Next(uint32_t j) const { return next_[j]; }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t head = kNoRow;
+    uint32_t tail = kNoRow;
+  };
+  const JoinSide& build_;
+  const bool exact_;
+  std::vector<uint32_t> next_;
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+};
+
+/// Runs fn(c) for chunks c in [0, n): on `pool` when given (ParallelFor
+/// runs them inline at one worker), else serially on the caller.
+Status RunChunks(ThreadPool* pool, size_t n,
+                 const std::function<Status(size_t)>& fn) {
+  if (pool != nullptr) return pool->ParallelFor(n, fn);
+  for (size_t c = 0; c < n; ++c) BL_RETURN_NOT_OK(fn(c));
+  return Status::OK();
+}
+
+/// Gathers matched rows and stitches the joined schema (probe columns
+/// colliding with build names get a "_r" suffix). With a pool, each output
+/// column is gathered by its own task; column contents do not depend on it.
+Result<RecordBatch> AssembleJoinOutput(
+    ThreadPool* pool, const RecordBatch& build, const RecordBatch& probe,
+    const std::vector<uint32_t>& build_rows,
+    const std::vector<uint32_t>& probe_rows) {
+  const size_t nb = build.num_columns();
+  std::vector<Column> cols(nb + probe.num_columns());
+  auto gather = [&](size_t c) -> Status {
+    cols[c] = c < nb ? build.column(c).Gather(build_rows)
+                     : probe.column(c - nb).Gather(probe_rows);
+    return Status::OK();
+  };
+  // Below one chunk of output a pool hand-off costs more than the gather.
+  BL_RETURN_NOT_OK(RunChunks(
+      build_rows.size() >= kProbeChunkRows ? pool : nullptr, cols.size(),
+      gather));
+  std::vector<Field> fields;
+  std::set<std::string> used;
+  for (size_t c = 0; c < nb; ++c) {
+    fields.push_back(build.schema()->field(c));
+    used.insert(fields.back().name);
+  }
+  for (size_t c = 0; c < probe.num_columns(); ++c) {
+    Field f = probe.schema()->field(c);
     while (used.count(f.name) > 0) f.name += "_r";
     used.insert(f.name);
     fields.push_back(std::move(f));
-    cols.push_back(probe_out.column(c));
   }
   return RecordBatch(MakeSchema(std::move(fields)), std::move(cols));
 }
 
-/// FNV-1a — a fixed hash so radix partition assignment is identical across
-/// platforms and runs (std::hash makes no such promise).
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
-Result<RecordBatch> HashJoinBatches(const RecordBatch& build,
-                                    const RecordBatch& probe,
-                                    const std::vector<std::string>& build_keys,
-                                    const std::vector<std::string>& probe_keys,
-                                    uint64_t* matches_out,
-                                    const std::vector<uint32_t>* build_sel,
-                                    const std::vector<uint32_t>* probe_sel) {
+Result<RecordBatch> HashJoin(ThreadPool* pool, const RecordBatch& build,
+                             const RecordBatch& probe,
+                             const std::vector<std::string>& build_keys,
+                             const std::vector<std::string>& probe_keys,
+                             uint64_t* matches_out,
+                             const std::vector<uint32_t>* build_sel,
+                             const std::vector<uint32_t>* probe_sel) {
   if (build_keys.size() != probe_keys.size() || build_keys.empty()) {
     return Status::InvalidArgument("join key arity mismatch");
   }
@@ -95,152 +295,88 @@ Result<RecordBatch> HashJoinBatches(const RecordBatch& build,
   BL_ASSIGN_OR_RETURN(std::vector<int> probe_cols,
                       ResolveColumns(probe, probe_keys));
 
-  // Logical row j maps to original row id borig(j)/porig(j); selections are
-  // strictly ascending, so iterating logical rows visits originals in the
-  // same order a materialized (gathered) input would — output rows match.
-  const size_t build_n = build_sel != nullptr ? build_sel->size()
-                                              : build.num_rows();
-  const size_t probe_n = probe_sel != nullptr ? probe_sel->size()
-                                              : probe.num_rows();
-  auto borig = [&](size_t j) {
-    return build_sel != nullptr ? (*build_sel)[j] : static_cast<uint32_t>(j);
-  };
-  auto porig = [&](size_t j) {
-    return probe_sel != nullptr ? (*probe_sel)[j] : static_cast<uint32_t>(j);
-  };
-
-  std::unordered_map<std::string, std::vector<uint32_t>> table;
-  table.reserve(build_n);
-  for (size_t j = 0; j < build_n; ++j) {
-    uint32_t r = borig(j);
-    table[RowKey(build, build_cols, r)].push_back(r);
+  // All indexing below is in logical rows (positions within the selection,
+  // or plain row ids without one). Selections are strictly ascending, so
+  // the output is row-identical to joining the gathered inputs.
+  JoinSide b, p;
+  b.sel = build_sel;
+  b.n = build_sel != nullptr ? build_sel->size() : build.num_rows();
+  p.sel = probe_sel;
+  p.n = probe_sel != nullptr ? probe_sel->size() : probe.num_rows();
+  // Reserved up front: a KeyColumn's `i64` may point into its own
+  // `decoded` vector, so the key columns are never relocated.
+  b.keys.reserve(build_cols.size());
+  p.keys.reserve(probe_cols.size());
+  bool comparable = true;
+  for (size_t k = 0; k < build_cols.size(); ++k) {
+    b.keys.emplace_back(build.column(static_cast<size_t>(build_cols[k])));
+    p.keys.emplace_back(probe.column(static_cast<size_t>(probe_cols[k])));
+    comparable &= b.keys[k].cls == p.keys[k].cls;
   }
+
   std::vector<uint32_t> build_rows, probe_rows;
-  for (size_t j = 0; j < probe_n; ++j) {
-    uint32_t r = porig(j);
-    auto it = table.find(RowKey(probe, probe_cols, r));
-    if (it == table.end()) continue;
-    for (uint32_t b : it->second) {
-      build_rows.push_back(b);
-      probe_rows.push_back(r);
+  if (comparable && b.n > 0 && p.n > 0) {
+    // A single fixed-width key hashes bijectively: equal hashes are equal
+    // keys, so slots never compare rows.
+    const bool exact =
+        b.keys.size() == 1 && b.keys[0].cls != KeyClass::kString;
+    JoinTable table(b, exact);
+    {
+      std::vector<uint64_t> hash(b.n);
+      std::vector<uint8_t> skip(b.n);
+      const size_t chunks = (b.n + kProbeChunkRows - 1) / kProbeChunkRows;
+      BL_RETURN_NOT_OK(RunChunks(pool, chunks, [&](size_t c) -> Status {
+        const size_t begin = c * kProbeChunkRows;
+        const size_t end = std::min(b.n, begin + kProbeChunkRows);
+        b.HashRows(begin, end, hash.data() + begin, skip.data() + begin);
+        return Status::OK();
+      }));
+      for (size_t j = 0; j < b.n; ++j) {
+        if (skip[j] == 0) table.Insert(static_cast<uint32_t>(j), hash[j]);
+      }
+    }
+
+    struct ChunkMatches {
+      std::vector<uint32_t> build_rows;
+      std::vector<uint32_t> probe_rows;
+    };
+    const size_t chunks = (p.n + kProbeChunkRows - 1) / kProbeChunkRows;
+    std::vector<ChunkMatches> matches(chunks);
+    BL_RETURN_NOT_OK(RunChunks(pool, chunks, [&](size_t c) -> Status {
+      const size_t begin = c * kProbeChunkRows;
+      const size_t end = std::min(p.n, begin + kProbeChunkRows);
+      std::vector<uint64_t> hash(end - begin);
+      std::vector<uint8_t> skip(end - begin);
+      p.HashRows(begin, end, hash.data(), skip.data());
+      ChunkMatches& out = matches[c];
+      for (size_t j = begin; j < end; ++j) {
+        if (skip[j - begin] != 0) continue;
+        const uint32_t r = p.Orig(j);
+        for (uint32_t bj = table.Find(hash[j - begin], p, r); bj != kNoRow;
+             bj = table.Next(bj)) {
+          out.build_rows.push_back(b.Orig(bj));
+          out.probe_rows.push_back(r);
+        }
+      }
+      return Status::OK();
+    }));
+
+    // Chunks cover ascending probe ranges: concatenating them in chunk
+    // order is global probe-row order, with each row's matches in build-row
+    // order — no merge or sort, whatever the worker count.
+    size_t total = 0;
+    for (const auto& m : matches) total += m.build_rows.size();
+    build_rows.reserve(total);
+    probe_rows.reserve(total);
+    for (const auto& m : matches) {
+      build_rows.insert(build_rows.end(), m.build_rows.begin(),
+                        m.build_rows.end());
+      probe_rows.insert(probe_rows.end(), m.probe_rows.begin(),
+                        m.probe_rows.end());
     }
   }
   if (matches_out != nullptr) *matches_out = build_rows.size();
-  return AssembleJoinOutput(build, probe, build_rows, probe_rows);
-}
-
-Result<RecordBatch> PartitionedHashJoin(
-    ThreadPool* pool, const RecordBatch& build, const RecordBatch& probe,
-    const std::vector<std::string>& build_keys,
-    const std::vector<std::string>& probe_keys, uint64_t* matches_out,
-    size_t num_partitions, const std::vector<uint32_t>* build_sel,
-    const std::vector<uint32_t>* probe_sel) {
-  if (build_keys.size() != probe_keys.size() || build_keys.empty()) {
-    return Status::InvalidArgument("join key arity mismatch");
-  }
-  BL_ASSIGN_OR_RETURN(std::vector<int> build_cols,
-                      ResolveColumns(build, build_keys));
-  BL_ASSIGN_OR_RETURN(std::vector<int> probe_cols,
-                      ResolveColumns(probe, probe_keys));
-  size_t P = std::max<size_t>(1, std::min<size_t>(num_partitions, 64));
-
-  // All indexing below is in *logical* rows j (positions within the
-  // selection, or plain row ids when there is none); logical ids convert to
-  // original row ids only when matches are emitted. Selections are strictly
-  // ascending, so orderings in logical and original space coincide and the
-  // output is row-identical to joining materialized inputs.
-  const size_t build_n = build_sel != nullptr ? build_sel->size()
-                                              : build.num_rows();
-  const size_t probe_n = probe_sel != nullptr ? probe_sel->size()
-                                              : probe.num_rows();
-  auto borig = [&](size_t j) {
-    return build_sel != nullptr ? (*build_sel)[j] : static_cast<uint32_t>(j);
-  };
-  auto porig = [&](size_t j) {
-    return probe_sel != nullptr ? (*probe_sel)[j] : static_cast<uint32_t>(j);
-  };
-
-  // Encode join keys in parallel (the expensive per-row work), into
-  // index-addressed slots.
-  std::vector<std::string> bkeys(build_n);
-  std::vector<std::string> pkeys(probe_n);
-  constexpr size_t kKeyGrain = 2048;
-  BL_RETURN_NOT_OK(pool->ParallelFor(
-      build_n,
-      [&](size_t j) -> Status {
-        bkeys[j] = RowKey(build, build_cols, borig(j));
-        return Status::OK();
-      },
-      kKeyGrain));
-  BL_RETURN_NOT_OK(pool->ParallelFor(
-      probe_n,
-      [&](size_t j) -> Status {
-        pkeys[j] = RowKey(probe, probe_cols, porig(j));
-        return Status::OK();
-      },
-      kKeyGrain));
-
-  // Radix partition: every key lands in exactly one partition, so each
-  // partition joins independently.
-  std::vector<std::vector<uint32_t>> build_parts(P), probe_parts(P);
-  for (size_t j = 0; j < build_n; ++j) {
-    build_parts[Fnv1a(bkeys[j]) % P].push_back(static_cast<uint32_t>(j));
-  }
-  for (size_t j = 0; j < probe_n; ++j) {
-    probe_parts[Fnv1a(pkeys[j]) % P].push_back(static_cast<uint32_t>(j));
-  }
-
-  struct PartitionMatches {
-    std::vector<uint32_t> build_rows;
-    std::vector<uint32_t> probe_rows;
-  };
-  std::vector<PartitionMatches> matches(P);
-  BL_RETURN_NOT_OK(pool->ParallelFor(P, [&](size_t p) -> Status {
-    std::unordered_map<std::string, std::vector<uint32_t>> table;
-    table.reserve(build_parts[p].size());
-    for (uint32_t j : build_parts[p]) {
-      // Ascending logical ids: build rows visit in order.
-      table[bkeys[j]].push_back(static_cast<uint32_t>(borig(j)));
-    }
-    PartitionMatches& out = matches[p];
-    for (uint32_t j : probe_parts[p]) {
-      auto it = table.find(pkeys[j]);
-      if (it == table.end()) continue;
-      for (uint32_t b : it->second) {
-        out.build_rows.push_back(b);
-        out.probe_rows.push_back(static_cast<uint32_t>(porig(j)));
-      }
-    }
-    return Status::OK();
-  }));
-
-  // Merge partitions back into global probe-row order. Each probe row lives
-  // in one partition with its matches already in build-row order, so a
-  // stable sort on the probe index reproduces the serial join's output
-  // row-for-row.
-  size_t total = 0;
-  for (const auto& m : matches) total += m.build_rows.size();
-  std::vector<uint32_t> order_build, order_probe;
-  order_build.reserve(total);
-  order_probe.reserve(total);
-  for (const auto& m : matches) {
-    order_build.insert(order_build.end(), m.build_rows.begin(),
-                       m.build_rows.end());
-    order_probe.insert(order_probe.end(), m.probe_rows.begin(),
-                       m.probe_rows.end());
-  }
-  std::vector<uint32_t> perm(total);
-  for (size_t i = 0; i < total; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return order_probe[a] < order_probe[b];
-  });
-  std::vector<uint32_t> build_rows(total), probe_rows(total);
-  for (size_t i = 0; i < total; ++i) {
-    build_rows[i] = order_build[perm[i]];
-    probe_rows[i] = order_probe[perm[i]];
-  }
-  if (matches_out != nullptr) *matches_out = total;
-  return AssembleJoinOutput(build, probe, build_rows, probe_rows);
+  return AssembleJoinOutput(pool, build, probe, build_rows, probe_rows);
 }
 
 Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
@@ -364,13 +500,15 @@ Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
 Result<RecordBatch> SortBatch(const RecordBatch& input,
                               const std::vector<SortKey>& keys,
                               const std::vector<uint32_t>* selection) {
-  std::vector<int> key_cols;
+  // Key columns decoded once (dictionary/RLE to plain), then compared
+  // typed in Value::Compare order (NULL first) without boxing.
+  std::vector<Column> key_cols;
   for (const auto& k : keys) {
     int idx = input.schema()->FieldIndex(k.column);
     if (idx < 0) {
       return Status::NotFound(StrCat("no sort column `", k.column, "`"));
     }
-    key_cols.push_back(idx);
+    key_cols.push_back(input.column(static_cast<size_t>(idx)).Decode());
   }
   // A selection pre-seeds the permutation with the surviving row ids (in
   // ascending order, matching a materialized filter); the stable sort then
@@ -386,9 +524,7 @@ Result<RecordBatch> SortBatch(const RecordBatch& input,
   }
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     for (size_t i = 0; i < key_cols.size(); ++i) {
-      int cmp = input.GetValue(a, static_cast<size_t>(key_cols[i]))
-                    .Compare(
-                        input.GetValue(b, static_cast<size_t>(key_cols[i])));
+      int cmp = ComparePlainRows(key_cols[i], a, b);
       if (cmp != 0) return keys[i].descending ? cmp > 0 : cmp < 0;
     }
     return false;

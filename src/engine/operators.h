@@ -17,32 +17,31 @@ namespace biglake {
 namespace ops {
 
 /// Inner equi-join: returns build columns followed by probe columns (probe
-/// columns colliding with build names get a "_r" suffix).
+/// columns colliding with build names get a "_r" suffix). Output rows come
+/// in probe-row order, each probe row's matches in build-row order.
+///
+/// Keys are hashed and compared typed, never boxed or encoded. Two keys are
+/// equal exactly when their EncodeColumnValue bytes are: INT64 matches
+/// TIMESTAMP, STRING matches BYTES (plain or dictionary), doubles compare by
+/// bit pattern, and keys of different classes never match. A NULL key never
+/// matches anything, on either side.
+///
+/// The build side goes into one flat hash table; the probe side runs in
+/// fixed 16 Ki-row chunks on `pool` (nullable: serial on the caller) and the
+/// chunks' match lists concatenate in chunk order, so the output is
+/// row-for-row identical at every worker count.
 ///
 /// `build_sel`/`probe_sel`, when non-null, are deferred filter selections
 /// (strictly ascending row ids) over the respective batches: only selected
 /// rows participate, in selection order, and the output is row-identical to
 /// joining the materialized (gathered) inputs — without copying them first.
-Result<RecordBatch> HashJoinBatches(
-    const RecordBatch& build, const RecordBatch& probe,
-    const std::vector<std::string>& build_keys,
-    const std::vector<std::string>& probe_keys,
-    uint64_t* matches_out = nullptr,
-    const std::vector<uint32_t>* build_sel = nullptr,
-    const std::vector<uint32_t>* probe_sel = nullptr);
-
-/// Radix-partitioned parallel equi-join: rows are hash-partitioned on their
-/// join key across `num_partitions` independent build+probe tasks executed
-/// on `pool`, and the per-partition match lists are merged back into probe-
-/// row order. The output is row-for-row identical to HashJoinBatches — the
-/// partitioning is purely a parallel execution strategy.
-Result<RecordBatch> PartitionedHashJoin(
-    ThreadPool* pool, const RecordBatch& build, const RecordBatch& probe,
-    const std::vector<std::string>& build_keys,
-    const std::vector<std::string>& probe_keys,
-    uint64_t* matches_out = nullptr, size_t num_partitions = 8,
-    const std::vector<uint32_t>* build_sel = nullptr,
-    const std::vector<uint32_t>* probe_sel = nullptr);
+Result<RecordBatch> HashJoin(ThreadPool* pool, const RecordBatch& build,
+                             const RecordBatch& probe,
+                             const std::vector<std::string>& build_keys,
+                             const std::vector<std::string>& probe_keys,
+                             uint64_t* matches_out = nullptr,
+                             const std::vector<uint32_t>* build_sel = nullptr,
+                             const std::vector<uint32_t>* probe_sel = nullptr);
 
 /// Hash group-by; forwards to the shared columnar kernel (which the Read
 /// API also uses for server-side aggregate pushdown).
@@ -70,9 +69,9 @@ Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
                                       const std::vector<uint32_t>* selection =
                                           nullptr);
 
-/// Stable multi-key sort. `selection`, when non-null, restricts (and
-/// pre-orders) the input to the selected row ids; the output is the
-/// materialized sorted batch.
+/// Stable multi-key sort in Value::Compare order (NULL first). `selection`,
+/// when non-null, restricts (and pre-orders) the input to the selected row
+/// ids; the output is the materialized sorted batch.
 Result<RecordBatch> SortBatch(const RecordBatch& input,
                               const std::vector<SortKey>& keys,
                               const std::vector<uint32_t>* selection = nullptr);

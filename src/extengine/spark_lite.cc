@@ -288,9 +288,8 @@ Result<RecordBatch> SparkLiteEngine::ExecuteNode(const Principal& principal,
       }
       uint64_t matches = 0;
       BL_ASSIGN_OR_RETURN(RecordBatch joined,
-                          ops::HashJoinBatches(build_batch, probe_batch,
-                                               build_keys, probe_keys,
-                                               &matches));
+                          ops::HashJoin(nullptr, build_batch, probe_batch,
+                                        build_keys, probe_keys, &matches));
       ChargeCpu(build_batch.num_rows() * 4 + probe_batch.num_rows() + matches,
                 stats);
       return joined;

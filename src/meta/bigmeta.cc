@@ -24,7 +24,7 @@ Result<uint64_t> MetaTransaction::Commit() {
     return Status::FailedPrecondition("transaction already committed");
   }
   committed_ = true;
-  return store_->CommitOps(ops_);
+  return store_->CommitOps(std::move(ops_));
 }
 
 BigMetadataStore::BigMetadataStore(SimEnv* env, BigMetadataOptions options)
@@ -46,7 +46,7 @@ Status BigMetadataStore::DropTable(const std::string& table_id) {
 }
 
 Result<uint64_t> BigMetadataStore::CommitOps(
-    const std::map<std::string, MetaTransaction::TableOps>& ops) {
+    std::map<std::string, MetaTransaction::TableOps> ops) {
   // Validate all target tables first so the commit is all-or-nothing.
   for (const auto& [table_id, table_ops] : ops) {
     if (tables_.count(table_id) == 0) {
@@ -58,12 +58,12 @@ Result<uint64_t> BigMetadataStore::CommitOps(
   // mutation regardless of how many tables it spans.
   env_->Charge("bigmeta.commits", options_.commit_latency);
   uint64_t txn = next_txn_++;
-  for (const auto& [table_id, table_ops] : ops) {
+  for (auto& [table_id, table_ops] : ops) {
     TableState& table = tables_[table_id];
     LogRecord rec;
     rec.txn = txn;
-    rec.adds = table_ops.adds;
-    rec.removes = table_ops.removes;
+    rec.adds = std::move(table_ops.adds);
+    rec.removes = std::move(table_ops.removes);
     table.tail.push_back(std::move(rec));
     MaybeCompact(&table);
   }

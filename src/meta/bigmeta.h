@@ -193,8 +193,10 @@ class BigMetadataStore {
     std::vector<LogRecord> tail;
   };
 
+  /// Takes the staged ops by value: their file metadata moves into the log
+  /// tail instead of being deep-copied on every commit.
   Result<uint64_t> CommitOps(
-      const std::map<std::string, MetaTransaction::TableOps>& ops);
+      std::map<std::string, MetaTransaction::TableOps> ops);
   void MaybeCompact(TableState* table);
   static void ApplyRecord(std::vector<CachedFileMeta>* files,
                           const LogRecord& rec);

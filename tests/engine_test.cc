@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "columnar/ipc.h"
 #include "core/blmt.h"
 #include "engine/engine.h"
+#include "engine/operators.h"
 #include "lakehouse_fixture.h"
 
 namespace biglake {
@@ -185,6 +190,70 @@ TEST_F(EngineTest, DynamicPartitionPruningPrunesFactFiles) {
   EXPECT_GT(slow->stats.files_scanned, result->stats.files_scanned);
 }
 
+TEST_F(EngineTest, NullJoinKeysNeverMatchWithOrWithoutDpp) {
+  // Both sides carry NULL keys. NULL never equals NULL, so the answer must
+  // not depend on whether DPP's IN-list (which drops NULL probe rows) ran.
+  auto make = [&](const std::string& name, const std::vector<Value>& keys) {
+    TableDef def;
+    def.dataset = "ds";
+    def.name = name;
+    def.schema = MakeSchema({{"k", DataType::kInt64, true},
+                             {name + "_v", DataType::kInt64, false}});
+    def.connection = "us.lake-conn";
+    def.location = gcp_;
+    def.bucket = "lake";
+    def.prefix = name + "/";
+    def.iam.Grant("*", Role::kWriter);
+    ASSERT_TRUE(blmt_.CreateTable(def).ok());
+    BatchBuilder b(def.schema);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(
+          b.AppendRow({keys[i], Value::Int64(static_cast<int64_t>(i))}).ok());
+    }
+    ASSERT_TRUE(blmt_.Insert("u", "ds." + name, b.Finish()).ok());
+  };
+  const Value null = Value::Null();
+  make("dim", {null, Value::Int64(1), Value::Int64(2), null});
+  make("fact", {Value::Int64(1), null, Value::Int64(2), Value::Int64(2), null,
+                Value::Int64(3), Value::Int64(1)});
+  auto plan = Plan::HashJoin(Plan::Scan("ds.dim"), Plan::Scan("ds.fact"),
+                             {"k"}, {"k"});
+  auto pairs = [](const RecordBatch& batch) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    const Column* d = *batch.ColumnByName("dim_v");
+    const Column* f = *batch.ColumnByName("fact_v");
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      out.emplace_back(d->GetValue(r).int64_value(),
+                       f->GetValue(r).int64_value());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::pair<int64_t, int64_t>> want = {
+      {1, 0}, {1, 6}, {2, 2}, {2, 3}};
+
+  EngineOptions dpp_on;
+  auto on = MakeEngine(dpp_on).Execute("u", plan);
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_EQ(on->stats.dpp_scans, 1u);
+  EXPECT_EQ(pairs(on->batch), want);
+
+  EngineOptions dpp_off;
+  dpp_off.dynamic_partition_pruning = false;
+  EngineOptions no_stats;
+  no_stats.use_table_stats = false;
+  EngineOptions too_many_keys;  // 2 distinct build keys > dpp_max_keys
+  too_many_keys.dpp_max_keys = 1;
+  EngineOptions one_worker;
+  one_worker.num_workers = 1;
+  for (const EngineOptions& opts :
+       {dpp_off, no_stats, too_many_keys, one_worker}) {
+    auto r = MakeEngine(opts).Execute("u", plan);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(pairs(r->batch), want);
+  }
+}
+
 TEST_F(EngineTest, AggregateSumCountMinMaxAvg) {
   CreateLakeTable("sales", 1, 100);
   QueryEngine engine = MakeEngine();
@@ -308,6 +377,90 @@ TEST_F(EngineTest, WallTimeBenefitsFromParallelStreams) {
   ASSERT_TRUE(r16.ok());
   EXPECT_EQ(r1->batch.num_rows(), r16->batch.num_rows());
   EXPECT_LT(r16->stats.wall_micros, r1->stats.wall_micros);
+}
+
+// ORDER BY compares typed key columns; it must order rows exactly as a
+// stable sort on boxed Value::Compare does.
+TEST(SortBatchTest, MatchesValueCompareStableSort) {
+  Random rng(31);
+  const size_t n = 400;
+  std::vector<int64_t> ints(n), ts_runs;
+  std::vector<double> dbls(n);
+  std::vector<uint8_t> bools(n), int_valid(n), dbl_valid(n), str_valid(n);
+  std::vector<uint32_t> idx(n), run_lengths;
+  std::vector<std::string> strs(n);
+  const std::vector<std::string> dict = {"b", "", std::string("a\0", 2), "a",
+                                         "b"};
+  for (size_t i = 0; i < n; ++i) {
+    ints[i] = static_cast<int64_t>(rng.Uniform(5)) - 2;  // many ties
+    int_valid[i] = rng.Uniform(6) != 0;
+    static const double kD[] = {-0.0, 0.0, 1.5, -3.0, 1e300};
+    dbls[i] = kD[rng.Uniform(5)];
+    dbl_valid[i] = rng.Uniform(5) != 0;
+    bools[i] = static_cast<uint8_t>(rng.Uniform(2));
+    idx[i] = static_cast<uint32_t>(rng.Uniform(dict.size()));
+    str_valid[i] = rng.Uniform(7) != 0;
+    strs[i] = dict[rng.Uniform(dict.size())];
+  }
+  for (size_t left = n; left > 0;) {
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<size_t>(left, 1 + rng.Uniform(9)));
+    ts_runs.push_back(static_cast<int64_t>(rng.Uniform(4)) * 1000);
+    run_lengths.push_back(len);
+    left -= len;
+  }
+  auto schema = MakeSchema({{"i", DataType::kInt64, true},
+                            {"d", DataType::kDouble, true},
+                            {"b", DataType::kBool, false},
+                            {"s", DataType::kString, true},
+                            {"p", DataType::kBytes, false},
+                            {"t", DataType::kTimestamp, false}});
+  RecordBatch batch(
+      schema,
+      {Column::MakeInt64(ints, int_valid), Column::MakeDouble(dbls, dbl_valid),
+       Column::MakeBool(bools),
+       Column::MakeDictionaryString(idx, dict, str_valid),
+       Column::MakeBytes(strs),
+       Column::MakeRunLengthInt64(ts_runs, run_lengths, DataType::kTimestamp)});
+
+  std::vector<uint32_t> sel;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (rng.Uniform(3) != 0) sel.push_back(i);
+  }
+  const std::vector<std::vector<SortKey>> key_sets = {
+      {{"i"}},
+      {{"i", true}},
+      {{"d"}, {"i", true}},
+      {{"s"}, {"b", true}, {"t"}},
+      {{"t", true}, {"s", true}, {"d"}},
+      {{"p"}, {"i"}},
+      {{"b"}, {"d", true}, {"p", true}, {"i"}}};
+  for (const auto& keys : key_sets) {
+    const std::vector<const std::vector<uint32_t>*> selections = {nullptr,
+                                                                   &sel};
+    for (const std::vector<uint32_t>* selection : selections) {
+      std::vector<uint32_t> order;
+      if (selection != nullptr) {
+        order = *selection;
+      } else {
+        for (uint32_t i = 0; i < n; ++i) order.push_back(i);
+      }
+      std::stable_sort(order.begin(), order.end(), [&](uint32_t a,
+                                                       uint32_t b) {
+        for (const SortKey& k : keys) {
+          const size_t c =
+              static_cast<size_t>(batch.schema()->FieldIndex(k.column));
+          int cmp = batch.GetValue(a, c).Compare(batch.GetValue(b, c));
+          if (cmp != 0) return k.descending ? cmp > 0 : cmp < 0;
+        }
+        return false;
+      });
+      auto got = ops::SortBatch(batch, keys, selection);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(SerializeBatch(*got), SerializeBatch(batch.Gather(order)))
+          << keys.size() << " keys, selection " << (selection != nullptr);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "columnar/ipc.h"
 #include "columnar/kernels.h"
 #include "columnar/selection.h"
+#include "common/random.h"
 #include "core/blmt.h"
 #include "engine/engine.h"
 #include "lakehouse_fixture.h"
@@ -205,6 +208,130 @@ TEST(ExprKernelsTest, InListShapes) {
   ExpectKernelMatchesLegacy(
       Expr::InList(Expr::Col("bucket"), {Value::Int64(100), Value::Int64(300)}),
       batch);
+
+  // Long lists resolve once into a typed set (dense bitmap, hash set,
+  // string set); the legacy evaluator stays the oracle.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const std::vector<int64_t> specials = {kMin, kMin + 1, kMax, kMax - 1, k53,
+                                         k53 + 1, k53 + 2, -k53 - 1, 0, -1};
+  Random rng(99);
+  const size_t n = 3000;
+  std::vector<int64_t> ints(n), runs;
+  std::vector<uint8_t> valid(n);
+  std::vector<double> dbls(n);
+  std::vector<std::string> strs(n);
+  std::vector<uint32_t> lengths;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t pick = rng.Uniform(10);
+    ints[i] = pick == 0   ? specials[rng.Uniform(specials.size())]
+              : pick == 1 ? static_cast<int64_t>(rng.Next())
+                          : static_cast<int64_t>(rng.Uniform(4000)) - 500;
+    valid[i] = rng.Uniform(8) != 0;
+    dbls[i] = pick == 0 ? -0.0 : static_cast<double>(ints[i]) / 2;
+    strs[i] = i % 7 == 0   ? ""
+              : i % 7 == 1 ? std::string("k\0", 2) + std::to_string(i % 50)
+                           : "k" + std::to_string(rng.Uniform(3000));
+  }
+  for (size_t left = n; left > 0;) {
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<size_t>(left, 1 + rng.Uniform(7)));
+    runs.push_back(ints[left - 1]);
+    lengths.push_back(len);
+    left -= len;
+  }
+  // `m` keeps `m + 2` clear of int64 overflow.
+  std::vector<int64_t> small(n);
+  for (size_t i = 0; i < n; ++i) small[i] = ints[i] % 4096;
+  RecordBatch wide(MakeSchema({{"v", DataType::kInt64, true},
+                               {"w", DataType::kDouble, true},
+                               {"s", DataType::kString, true},
+                               {"r", DataType::kInt64, false},
+                               {"m", DataType::kInt64, true}}),
+                   {Column::MakeInt64(ints, valid), Column::MakeDouble(dbls),
+                    Column::MakeString(strs, valid),
+                    Column::MakeRunLengthInt64(runs, lengths),
+                    Column::MakeInt64(small, valid)});
+
+  std::vector<Value> dense, spread, mixed, texts;
+  for (int64_t v = -200; v < 2200; v += 2) dense.push_back(Value::Int64(v));
+  for (size_t i = 0; i < 1100; ++i) {
+    spread.push_back(i % 100 == 0 ? Value::Null()
+                                  : Value::Int64(ints[rng.Uniform(n)]));
+  }
+  for (int64_t s : specials) spread.push_back(Value::Int64(s));
+  for (size_t i = 0; i < 1200; ++i) {
+    const int64_t v = ints[rng.Uniform(n)];
+    switch (i % 5) {
+      case 0: mixed.push_back(Value::Int64(v)); break;
+      case 1: mixed.push_back(Value::Double(static_cast<double>(v))); break;
+      case 2: mixed.push_back(Value::Double(static_cast<double>(v) + 0.5));
+        break;
+      case 3: mixed.push_back(Value::Double(static_cast<double>(v) / 2));
+        break;
+      default: mixed.push_back(Value::Null()); break;
+    }
+  }
+  // 2^53 and 2^63 as doubles: int64 lanes above 2^53 round onto them.
+  mixed.push_back(Value::Double(9007199254740992.0));
+  mixed.push_back(Value::Double(9223372036854775808.0));
+  mixed.push_back(Value::Double(-9223372036854775808.0));
+  mixed.push_back(Value::Double(std::numeric_limits<double>::infinity()));
+  mixed.push_back(Value::Double(-0.0));
+  mixed.push_back(Value::String("k1"));
+  for (size_t i = 0; i < 1000; ++i) {
+    texts.push_back(i % 3 == 0 ? Value::String(strs[rng.Uniform(n)])
+                               : Value::String("k" + std::to_string(i)));
+  }
+  texts.push_back(Value::String(""));
+  texts.push_back(Value::Null());
+  texts.push_back(Value::Int64(5));
+
+  RecordBatch sliced = wide.Slice(777, 1500);
+  for (const RecordBatch* b : {&wide, &sliced}) {
+    for (const auto* items : {&dense, &spread, &mixed}) {
+      for (const char* col : {"v", "w", "r"}) {
+        ExpectKernelMatchesLegacy(Expr::InList(Expr::Col(col), *items), *b);
+      }
+      ExpectKernelMatchesLegacy(
+          Expr::InList(Expr::Arith(ArithOp::kAdd, Expr::Col("m"),
+                                   Expr::Lit(Value::Int64(2))),
+                       *items),
+          *b);
+    }
+    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("s"), texts), *b);
+    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("v"), texts), *b);
+  }
+  // Both sides of the flat-loop / set cutover agree with the oracle.
+  for (size_t len : {15u, 16u, 17u, 18u}) {
+    std::vector<Value> items(mixed.begin(), mixed.begin() + len);
+    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("v"), items), wide);
+    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("w"), items), wide);
+    std::vector<Value> words(texts.begin(), texts.begin() + len);
+    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("s"), words), wide);
+  }
+}
+
+// NaN is the one place the kernels deliberately differ from the legacy
+// evaluator (whose Value::Compare calls NaN equal to every number): a NaN
+// lane or item never matches, on the flat loops and the set alike, and
+// -0.0 equals 0.0.
+TEST(ExprKernelsTest, LongInListNaNAndSignedZero) {
+  const double nan = std::nan("");
+  RecordBatch batch(MakeSchema({{"d", DataType::kDouble, true}}),
+                    {Column::MakeDouble({nan, -0.0, 0.0, 1.0, 2.5})});
+  for (size_t len : {3u, 1000u}) {
+    std::vector<Value> items = {Value::Double(nan), Value::Double(0.0),
+                                Value::Int64(2)};
+    for (size_t i = items.size(); i < len; ++i) {
+      items.push_back(Value::Double(100.0 + static_cast<double>(i)));
+    }
+    auto got =
+        kernels::EvaluatePredicate(*Expr::InList(Expr::Col("d"), items), batch);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->data, (std::vector<uint8_t>{0, 1, 1, 0, 0})) << len;
+  }
 }
 
 // ---------------------------------------------------------------------------

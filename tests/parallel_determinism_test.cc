@@ -47,7 +47,8 @@ struct World {
 };
 
 // Large enough that fact scans cross the parallel_row_threshold, so the
-// partitioned join and chunked aggregation paths actually execute.
+// chunked aggregation path actually executes (join probes run on the pool
+// at any size).
 TpcdsScale BigScale() {
   TpcdsScale scale;
   scale.days = 6;
@@ -146,8 +147,9 @@ TEST(ParallelDeterminismTest, PartitionedJoinMatchesSerialRowForRow) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   ASSERT_GT(a->batch.num_rows(), 0u);
-  // The radix-partitioned join merges matches back into probe-row order, so
-  // its output is row-for-row identical to the serial hash join.
+  // The join probes fixed 16 Ki-row chunks and concatenates their matches
+  // in chunk order, so its output is row-for-row identical to the serial
+  // (one-worker) run.
   EXPECT_EQ(SerializeBatch(a->batch), SerializeBatch(b->batch));
 }
 
