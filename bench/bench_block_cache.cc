@@ -17,7 +17,7 @@
 //      decoded bytes pinned); now operators consume cached blocks by
 //      reference and copy only surviving rows, so the BufferPool
 //      bytes-copied delta must be >= 10x smaller than that eager model,
-//      with row-identical results vs the legacy evaluator.
+//      with rows identical to the same scan with the block cache off.
 //
 // One JSON line per configuration (aggregated into BENCH_PR9.json by
 // scripts/run_benches.sh).
@@ -207,15 +207,15 @@ int Run() {
                 zc.status().ToString().c_str());
     return 1;
   }
-  // Row parity: the legacy boxed evaluator (no fused kernels, eager
-  // Filter/Project copies) over the same warm cache must produce the same
-  // rows in the same order.
-  EngineOptions legacy_opts = Cached(/*depth=*/0);
-  legacy_opts.enable_vectorized_kernels = false;
-  QueryEngine legacy_engine(&cw.env.lake, &cw.api, legacy_opts);
-  auto ref = legacy_engine.Execute("u", selective);
+  // Row parity: the same scan with the block cache off (every block
+  // decoded fresh from the object store) must produce the same rows in the
+  // same order.
+  EngineOptions uncached_opts = Cached(/*depth=*/0);
+  uncached_opts.enable_block_cache = false;
+  QueryEngine uncached_engine(&cw.env.lake, &cw.api, uncached_opts);
+  auto ref = uncached_engine.Execute("u", selective);
   if (!ref.ok()) {
-    std::printf("legacy selective query failed: %s\n",
+    std::printf("uncached selective query failed: %s\n",
                 ref.status().ToString().c_str());
     return 1;
   }
@@ -231,8 +231,8 @@ int Run() {
   for (uint64_t r = 0; r < zc->batch.num_rows(); ++r) {
     for (size_t c = 0; c < zc->batch.num_columns(); ++c) {
       if (!(zc->batch.GetValue(r, c) == ref->batch.GetValue(r, c))) {
-        std::printf("FAIL: row %llu col %zu differs between zero-copy and "
-                    "legacy paths\n",
+        std::printf("FAIL: row %llu col %zu differs between the cached and "
+                    "uncached scans\n",
                     static_cast<unsigned long long>(r), c);
         return 1;
       }

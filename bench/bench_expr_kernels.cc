@@ -1,24 +1,20 @@
-// Vectorized expression kernels vs the legacy boxed evaluator (real CPU).
+// Expression kernels on a warm-cache selectivity sweep (real CPU).
 //
 // One warm-cache table (decoded blocks served from the columnar block
 // cache, so object-store latency is out of the picture) scanned with a
 // filter+project query whose predicate selectivity is controlled exactly
-// by a uniform `pct` column. The sweep runs each selectivity twice —
-// kernels on (typed flat loops + deferred SelectionVector, fused into the
-// Read API scan) and kernels off (per-row Value boxing, BroadcastLiteral,
-// eager RecordBatch::Filter copies) — and measures *real* wall clock,
-// best of several repetitions.
+// by a uniform `pct` column. Each selectivity runs through the kernels
+// (typed flat loops + deferred SelectionVector, fused into the Read API
+// scan) and records *real* wall clock, best of several repetitions.
 //
-// Acceptance (PR 5): at low selectivity (<= 10%), the kernel path must be
-// at least 2x faster end-to-end. The bench exits non-zero otherwise.
-//
-// Acceptance (PR 9): each run also records the BufferPool bytes-copied
+// Acceptance: each run also records the BufferPool bytes-copied
 // delta. At 1% selectivity the fused kernel path must copy >= 10x fewer
 // bytes than the eager pre-shared-buffer model (a deep copy of every
 // decoded block the scan touches, measured as the pinned-bytes delta when
 // the cache warms) — i.e. warm-scan copying is O(output), not O(input).
+// The bench exits non-zero otherwise.
 //
-// One JSON line per (selectivity, mode) for scripts/run_benches.sh.
+// One JSON line per selectivity for scripts/run_benches.sh.
 
 #include <chrono>
 #include <cstdio>
@@ -99,19 +95,16 @@ struct World {
   }
 };
 
-EngineOptions Opts(bool kernels) {
+EngineOptions Opts() {
   EngineOptions opts;
   opts.num_workers = 1;  // isolate per-row evaluation cost, not parallelism
   opts.max_read_streams = 1;
   opts.enable_block_cache = true;
   opts.block_cache_capacity_bytes = 256ull << 20;
-  opts.enable_vectorized_kernels = kernels;
   return opts;
 }
 
-// `pct * 2 < 2K` selects exactly K% of rows, and the arithmetic child
-// forces the legacy evaluator through its per-row boxed path — the hot
-// loop this PR replaces.
+// `pct * 2 < 2K` selects exactly K% of rows through the arithmetic kernel.
 PlanPtr SweepQuery(int64_t pct) {
   auto pred =
       Expr::Lt(Expr::Arith(ArithOp::kMul, Expr::Col("pct"),
@@ -120,10 +113,9 @@ PlanPtr SweepQuery(int64_t pct) {
   return Plan::Scan("ds.kern", {"id", "a"}, pred);
 }
 
-// Best-of-kReps real wall time; also returns the row count for parity
-// checks between the two modes and the per-run BufferPool bytes-copied
-// delta (identical across reps once the cache is warm — the last rep's
-// delta is reported).
+// Best-of-kReps real wall time; also returns the row count and the per-run
+// BufferPool bytes-copied delta (identical across reps once the cache is
+// warm — the last rep's delta is reported).
 uint64_t TimedRun(QueryEngine* engine, const PlanPtr& plan, uint64_t* rows,
                   uint64_t* bytes_copied = nullptr) {
   uint64_t best = ~0ull;
@@ -149,9 +141,8 @@ uint64_t TimedRun(QueryEngine* engine, const PlanPtr& plan, uint64_t* rows,
   return best;
 }
 
-void EmitJson(const char* bench, int64_t selectivity, const char* mode,
-              uint64_t wall_us, uint64_t rows, double speedup,
-              uint64_t bytes_copied) {
+void EmitJson(const char* bench, int64_t selectivity, uint64_t wall_us,
+              uint64_t rows, uint64_t bytes_copied) {
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench");
@@ -159,13 +150,11 @@ void EmitJson(const char* bench, int64_t selectivity, const char* mode,
   w.Key("selectivity_pct");
   w.Uint(static_cast<uint64_t>(selectivity));
   w.Key("mode");
-  w.String(mode);
+  w.String("kernels");
   w.Key("wall_us");
   w.Uint(wall_us);
   w.Key("rows");
   w.Uint(rows);
-  w.Key("speedup_vs_legacy");
-  w.Double(speedup);
   w.Key("bytes_copied");
   w.Uint(bytes_copied);
   w.EndObject();
@@ -178,64 +167,38 @@ int Run() {
               kFiles, kRowsPerFile);
 
   World w;
-  QueryEngine kern_engine(&w.env.lake, &w.api, Opts(/*kernels=*/true));
-  QueryEngine legacy_engine(&w.env.lake, &w.api, Opts(/*kernels=*/false));
+  QueryEngine engine(&w.env.lake, &w.api, Opts());
 
-  // Warm the block cache (both engines share the environment's cache; the
-  // projection fingerprint is the same for every selectivity). The pinned
-  // delta across the warming run is the decoded bytes every sweep query
-  // touches — the eager pre-shared-buffer model deep-copied that much out
-  // of the cache on every warm scan.
+  // Warm the block cache (the projection fingerprint is the same for every
+  // selectivity). The pinned delta across the warming run is the decoded
+  // bytes every sweep query touches — the eager pre-shared-buffer model
+  // deep-copied that much out of the cache on every warm scan.
   uint64_t eager_bytes = 0;
   {
     uint64_t rows = 0;
     uint64_t pinned0 = w.env.lake.block_cache().Stats().bytes_pinned;
-    (void)TimedRun(&kern_engine, SweepQuery(50), &rows);
+    (void)TimedRun(&engine, SweepQuery(50), &rows);
     eager_bytes = w.env.lake.block_cache().Stats().bytes_pinned - pinned0;
   }
 
-  PrintRow({"selectivity", "legacy", "kernels", "speedup"}, {12, 14, 14, 10});
+  PrintRow({"selectivity", "rows", "kernels"}, {12, 10, 14});
   bool fail = false;
   for (int64_t pct : {1, 10, 50, 90}) {
-    PlanPtr plan = SweepQuery(pct);
-    uint64_t legacy_rows = 0, kern_rows = 0;
-    uint64_t legacy_copied = 0, kern_copied = 0;
-    uint64_t legacy_us = TimedRun(&legacy_engine, plan, &legacy_rows,
-                                  &legacy_copied);
-    uint64_t kern_us = TimedRun(&kern_engine, plan, &kern_rows, &kern_copied);
-    if (legacy_rows != kern_rows) {
-      std::printf("FAIL: row mismatch at %lld%%: legacy=%llu kernels=%llu\n",
-                  static_cast<long long>(pct),
-                  static_cast<unsigned long long>(legacy_rows),
-                  static_cast<unsigned long long>(kern_rows));
-      return 1;
-    }
-    double speedup =
-        kern_us == 0 ? 0.0 : static_cast<double>(legacy_us) / kern_us;
-    PrintRow({std::to_string(pct) + "%",
-              std::to_string(legacy_us) + " us",
-              std::to_string(kern_us) + " us", Factor(speedup)},
-             {12, 14, 14, 10});
-    EmitJson("expr_kernels", pct, "legacy", legacy_us, legacy_rows, 1.0,
-             legacy_copied);
-    EmitJson("expr_kernels", pct, "kernels", kern_us, kern_rows, speedup,
-             kern_copied);
-    if (pct <= 10 && speedup < 2.0) {
-      std::printf("FAIL: kernels must be >= 2x faster at %lld%% selectivity "
-                  "(got %.2fx)\n",
-                  static_cast<long long>(pct), speedup);
-      fail = true;
-    }
+    uint64_t rows = 0, copied = 0;
+    uint64_t us = TimedRun(&engine, SweepQuery(pct), &rows, &copied);
+    PrintRow({std::to_string(pct) + "%", std::to_string(rows),
+              std::to_string(us) + " us"},
+             {12, 10, 14});
+    EmitJson("expr_kernels", pct, us, rows, copied);
     if (pct == 1) {
-      double reduction = kern_copied > 0
-                             ? static_cast<double>(eager_bytes) /
-                                   static_cast<double>(kern_copied)
-                             : 0.0;
+      double reduction = copied > 0 ? static_cast<double>(eager_bytes) /
+                                          static_cast<double>(copied)
+                                    : 0.0;
       std::printf("  1%% warm scan: %llu bytes copied vs %llu eager model "
                   "(%.1fx fewer)\n",
-                  static_cast<unsigned long long>(kern_copied),
+                  static_cast<unsigned long long>(copied),
                   static_cast<unsigned long long>(eager_bytes), reduction);
-      if (kern_copied * 10 > eager_bytes) {
+      if (copied * 10 > eager_bytes) {
         std::printf("FAIL: warm 1%% scan must copy >= 10x fewer bytes than "
                     "the eager model (got %.1fx)\n", reduction);
         fail = true;
@@ -243,16 +206,13 @@ int Run() {
     }
   }
 
-  // String-predicate sweep (PR 10): the same table filtered on the varbinary
-  // `tag` column. The kernel path compares `string_view`s straight out of
-  // the shared arena (dictionary-domain compare when the column is
-  // dictionary-encoded). No speedup threshold here — a bare `col < lit`
-  // predicate skips the legacy evaluator's boxed-arithmetic slow path, so
-  // both modes are gather-dominated; the sweep guards row parity and tracks
-  // the wall/copy trend (PR 10's enforced thresholds live in
-  // bench_string_transport).
+  // String-predicate sweep: the same table filtered on the varbinary
+  // `tag` column. The kernels compare `string_view`s straight out of the
+  // shared arena (dictionary-domain compare when the column is
+  // dictionary-encoded); the sweep tracks the wall/copy trend (the
+  // varbinary thresholds are enforced in bench_string_transport).
   std::printf("\nstring predicate sweep: tag < bound\n");
-  PrintRow({"selectivity", "legacy", "kernels", "speedup"}, {12, 14, 14, 10});
+  PrintRow({"selectivity", "rows", "kernels"}, {12, 10, 14});
   for (int64_t pct : {1, 10, 50, 90}) {
     // 500 uniform tag values: the bound's numeric prefix picks pct% of rows.
     PlanPtr plan = Plan::Scan(
@@ -260,34 +220,16 @@ int Run() {
         Expr::Lt(Expr::Col("tag"),
                  Expr::Lit(Value::String(TagValue(
                      static_cast<uint64_t>(pct * 5))))));
-    uint64_t legacy_rows = 0, kern_rows = 0;
-    uint64_t legacy_copied = 0, kern_copied = 0;
-    uint64_t legacy_us = TimedRun(&legacy_engine, plan, &legacy_rows,
-                                  &legacy_copied);
-    uint64_t kern_us = TimedRun(&kern_engine, plan, &kern_rows, &kern_copied);
-    if (legacy_rows != kern_rows) {
-      std::printf("FAIL: row mismatch at %lld%%: legacy=%llu kernels=%llu\n",
-                  static_cast<long long>(pct),
-                  static_cast<unsigned long long>(legacy_rows),
-                  static_cast<unsigned long long>(kern_rows));
-      return 1;
-    }
-    double speedup =
-        kern_us == 0 ? 0.0 : static_cast<double>(legacy_us) / kern_us;
-    PrintRow({std::to_string(pct) + "%",
-              std::to_string(legacy_us) + " us",
-              std::to_string(kern_us) + " us", Factor(speedup)},
-             {12, 14, 14, 10});
-    EmitJson("expr_kernels_string", pct, "legacy", legacy_us, legacy_rows,
-             1.0, legacy_copied);
-    EmitJson("expr_kernels_string", pct, "kernels", kern_us, kern_rows,
-             speedup, kern_copied);
+    uint64_t rows = 0, copied = 0;
+    uint64_t us = TimedRun(&engine, plan, &rows, &copied);
+    PrintRow({std::to_string(pct) + "%", std::to_string(rows),
+              std::to_string(us) + " us"},
+             {12, 10, 14});
+    EmitJson("expr_kernels_string", pct, us, rows, copied);
   }
 
   if (fail) return 1;
-  std::printf("\nOK: kernel path >= 2x faster at <= 10%% selectivity, string "
-              "predicates row-identical; warm 1%% scan copies are "
-              "O(output)\n");
+  std::printf("\nOK: warm 1%% scan copies are O(output)\n");
   return 0;
 }
 

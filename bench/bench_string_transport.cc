@@ -4,10 +4,9 @@
 // A string-heavy table (one ~160-byte payload string per row plus a
 // dictionary-friendly tag) is scanned warm through two experiments:
 //
-// 1. Warm selective scan (engine level). A 1%-selective filter+project with
-//    kernels on vs the legacy boxed evaluator. Acceptance (PR 10): on the
-//    warm scan the kernel/varbinary path must be >= 2x faster wall clock
-//    than the legacy path AND copy >= 10x fewer bytes than the eager
+// 1. Warm selective scan (engine level). A 1%-selective filter+project
+//    through the kernels. Acceptance: on the warm scan the
+//    kernel/varbinary path must copy >= 10x fewer bytes than the eager
 //    legacy-layout model (which materialized every decoded block's string
 //    payload it touched — measured as the pinned-bytes delta when the cache
 //    warms, the same model bench_expr_kernels uses).
@@ -25,6 +24,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,13 +101,12 @@ struct World {
   }
 };
 
-EngineOptions Opts(bool kernels) {
+EngineOptions Opts() {
   EngineOptions opts;
   opts.num_workers = 1;  // isolate per-row cost, not parallelism
   opts.max_read_streams = 1;
   opts.enable_block_cache = true;
   opts.block_cache_capacity_bytes = 512ull << 20;
-  opts.enable_vectorized_kernels = kernels;
   return opts;
 }
 
@@ -145,7 +144,8 @@ uint64_t TimedRun(QueryEngine* engine, const PlanPtr& plan, uint64_t* rows,
 }
 
 void EmitJson(const char* experiment, const char* mode, uint64_t wall_us,
-              uint64_t rows, double speedup, uint64_t bytes_copied) {
+              uint64_t rows, std::optional<double> speedup,
+              uint64_t bytes_copied) {
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench");
@@ -158,8 +158,10 @@ void EmitJson(const char* experiment, const char* mode, uint64_t wall_us,
   w.Uint(wall_us);
   w.Key("rows");
   w.Uint(rows);
-  w.Key("speedup_vs_legacy");
-  w.Double(speedup);
+  if (speedup.has_value()) {
+    w.Key("speedup_vs_legacy");
+    w.Double(*speedup);
+  }
   w.Key("bytes_copied");
   w.Uint(bytes_copied);
   w.EndObject();
@@ -169,9 +171,8 @@ void EmitJson(const char* experiment, const char* mode, uint64_t wall_us,
 // ---- Experiment 1: warm selective scan ------------------------------------
 
 bool RunSelectiveScan(World* w) {
-  std::printf("\n-- warm 1%% selective scan: varbinary kernels vs legacy --\n");
-  QueryEngine kern_engine(&w->env.lake, &w->api, Opts(/*kernels=*/true));
-  QueryEngine legacy_engine(&w->env.lake, &w->api, Opts(/*kernels=*/false));
+  std::printf("\n-- warm 1%% selective scan: varbinary kernels --\n");
+  QueryEngine engine(&w->env.lake, &w->api, Opts());
 
   // Warm the cache; the pinned delta is the decoded footprint every sweep
   // query touches — what the legacy vector<string> layout materialized (one
@@ -180,51 +181,29 @@ bool RunSelectiveScan(World* w) {
   {
     uint64_t rows = 0, copied = 0;
     uint64_t pinned0 = w->env.lake.block_cache().Stats().bytes_pinned;
-    (void)TimedRun(&kern_engine, SweepQuery(50), &rows, &copied);
+    (void)TimedRun(&engine, SweepQuery(50), &rows, &copied);
     eager_bytes = w->env.lake.block_cache().Stats().bytes_pinned - pinned0;
   }
 
-  PlanPtr plan = SweepQuery(1);
-  uint64_t legacy_rows = 0, kern_rows = 0;
-  uint64_t legacy_copied = 0, kern_copied = 0;
-  uint64_t legacy_us =
-      TimedRun(&legacy_engine, plan, &legacy_rows, &legacy_copied);
-  uint64_t kern_us = TimedRun(&kern_engine, plan, &kern_rows, &kern_copied);
-  if (legacy_rows != kern_rows) {
-    std::printf("FAIL: row mismatch: legacy=%llu kernels=%llu\n",
-                static_cast<unsigned long long>(legacy_rows),
-                static_cast<unsigned long long>(kern_rows));
-    return false;
-  }
-  double speedup =
-      kern_us == 0 ? 0.0 : static_cast<double>(legacy_us) / kern_us;
-  double reduction = kern_copied > 0 ? static_cast<double>(eager_bytes) /
-                                           static_cast<double>(kern_copied)
-                                     : 0.0;
-  std::printf("legacy %llu us, kernels %llu us (%s); copied %s vs %s eager "
-              "model (%.1fx fewer)\n",
-              static_cast<unsigned long long>(legacy_us),
-              static_cast<unsigned long long>(kern_us),
-              Factor(speedup).c_str(), Mb(kern_copied).c_str(),
+  uint64_t rows = 0, copied = 0;
+  uint64_t us = TimedRun(&engine, SweepQuery(1), &rows, &copied);
+  double reduction = copied > 0 ? static_cast<double>(eager_bytes) /
+                                      static_cast<double>(copied)
+                                : 0.0;
+  std::printf("kernels %llu us, %llu rows; copied %s vs %s eager model "
+              "(%.1fx fewer)\n",
+              static_cast<unsigned long long>(us),
+              static_cast<unsigned long long>(rows), Mb(copied).c_str(),
               Mb(eager_bytes).c_str(), reduction);
-  EmitJson("warm_selective_scan", "legacy", legacy_us, legacy_rows, 1.0,
-           legacy_copied);
-  EmitJson("warm_selective_scan", "kernels", kern_us, kern_rows, speedup,
-           kern_copied);
+  EmitJson("warm_selective_scan", "kernels", us, rows, std::nullopt, copied);
 
-  bool ok = true;
-  if (speedup < 2.0) {
-    std::printf("FAIL: warm selective string scan must be >= 2x faster than "
-                "the legacy path (got %.2fx)\n", speedup);
-    ok = false;
-  }
-  if (kern_copied * 10 > eager_bytes) {
+  if (copied * 10 > eager_bytes) {
     std::printf("FAIL: warm selective string scan must copy >= 10x fewer "
                 "bytes than the eager legacy-layout model (got %.1fx)\n",
                 reduction);
-    ok = false;
+    return false;
   }
-  return ok;
+  return true;
 }
 
 // ---- Experiment 2: in-process transport -----------------------------------
@@ -406,9 +385,9 @@ int Run() {
   bool ok = RunSelectiveScan(&w);
   ok = RunTransport(&w) && ok;
   if (!ok) return 1;
-  std::printf("\nOK: warm selective scan >= 2x faster and >= 10x fewer bytes "
-              "copied than the legacy layout; in-process handles bypass the "
-              "codec with byte-identical rows\n");
+  std::printf("\nOK: warm selective scan copies >= 10x fewer bytes than the "
+              "legacy layout; in-process handles bypass the codec with "
+              "byte-identical rows\n");
   return 0;
 }
 

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "columnar/expr.h"
+#include "columnar/kernels.h"
 #include "common/random.h"
 #include "format/parquet_lite.h"
 
@@ -93,7 +94,7 @@ void BM_FilterDecodedStrings(benchmark::State& state) {
   RecordBatch plain(batch.schema(), {batch.column(0).Decode()});
   auto pred = Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("west")));
   for (auto _ : state) {
-    auto mask = pred->Evaluate(plain);
+    auto mask = kernels::EvaluatePredicate(*pred, plain);
     benchmark::DoNotOptimize(mask);
   }
 }
@@ -106,7 +107,7 @@ void BM_FilterDictionaryDirect(benchmark::State& state) {
   auto batch = reader.ReadRowGroup(0, {"region"}).value();  // dict-encoded
   auto pred = Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("west")));
   for (auto _ : state) {
-    auto mask = pred->Evaluate(batch);
+    auto mask = kernels::EvaluatePredicate(*pred, batch);
     benchmark::DoNotOptimize(mask);
   }
 }
@@ -121,7 +122,7 @@ void BM_FilterDecodedInts(benchmark::State& state) {
   RecordBatch plain(batch.schema(), {batch.column(0).Decode()});
   auto pred = Expr::Eq(Expr::Col("part"), Expr::Lit(Value::Int64(3)));
   for (auto _ : state) {
-    auto mask = pred->Evaluate(plain);
+    auto mask = kernels::EvaluatePredicate(*pred, plain);
     benchmark::DoNotOptimize(mask);
   }
 }
@@ -134,7 +135,7 @@ void BM_FilterRleDirect(benchmark::State& state) {
   auto batch = reader.ReadRowGroup(0, {"part"}).value();  // RLE-encoded
   auto pred = Expr::Eq(Expr::Col("part"), Expr::Lit(Value::Int64(3)));
   for (auto _ : state) {
-    auto mask = pred->Evaluate(batch);
+    auto mask = kernels::EvaluatePredicate(*pred, batch);
     benchmark::DoNotOptimize(mask);
   }
 }

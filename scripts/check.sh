@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local CI: plain build + tests, then ASan and TSan builds of the same
-# suite, then the seeded chaos sweep (plain + TSan) and the docs checks.
+# Full local CI: plain build + tests, then ASan(+UBSan) and TSan builds of
+# the same suite, then the seeded chaos sweep (plain + TSan) and the docs checks.
 # Each sanitizer uses its own build dir so the plain `build/` cache (and its
 # generator choice) is never disturbed.
 #
@@ -25,14 +25,16 @@ do_docs()  { "$ROOT/scripts/check_metrics_doc.sh"; }
 
 # Expression-kernel correctness must never depend on the compiler actually
 # vectorizing the flat loops: rebuild with auto-vectorization disabled and
-# re-run the columnar/engine/kernel suites (join kernel included) against
-# the same assertions.
+# re-run the columnar/engine/kernel suites (join kernel and the kernels-vs-
+# reference differential test included) against the same assertions.
 do_novec() {
+  local tests="columnar_test engine_test expr_kernels_test \
+    expr_differential_test join_kernel_test"
   cmake -B "$ROOT/build-novec" -S "$ROOT" \
     -DCMAKE_CXX_FLAGS=-fno-tree-vectorize
-  cmake --build "$ROOT/build-novec" -j "$JOBS" \
-    --target columnar_test engine_test expr_kernels_test join_kernel_test
-  for t in columnar_test engine_test expr_kernels_test join_kernel_test; do
+  # shellcheck disable=SC2086
+  cmake --build "$ROOT/build-novec" -j "$JOBS" --target $tests
+  for t in $tests; do
     "$ROOT/build-novec/tests/$t"
   done
 }
@@ -61,7 +63,8 @@ do_zerocopy() {
 }
 
 # Bench smoke: every bench binary runs to completion and its acceptance
-# thresholds hold; results aggregate into BENCH_PR10.json at the repo root.
+# thresholds hold; results aggregate into build/bench_results.json (the
+# committed BENCH_PR*.json records are left untouched).
 do_bench() {
   if [[ ! -d "$ROOT/build" ]]; then
     echo "bench: build/ missing — run the plain stage first" >&2

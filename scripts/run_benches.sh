@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Runs every bench_* binary in build/bench/ and aggregates their
-# machine-readable output into one JSON-lines file at the repo root
-# (BENCH_PR10.json): each bench prints human tables plus `{"bench":...}`
-# lines; only the JSON lines are collected. A bench exiting non-zero
-# (a failed acceptance threshold) fails the script; pipefail keeps its exit
-# code through the `| tee`.
+# machine-readable output into one JSON-lines file (default
+# build/bench_results.json, so a run never overwrites a committed
+# BENCH_PR*.json record): each bench prints human tables plus
+# `{"bench":...}` lines; only the JSON lines are collected. A bench exiting
+# non-zero (a failed acceptance threshold) fails the script; pipefail keeps
+# its exit code through the `| tee`.
 #
-# Usage: scripts/run_benches.sh [output-file]   (default: BENCH_PR10.json)
+# Usage: scripts/run_benches.sh [output-file]
+#        (default: build/bench_results.json; pass BENCH_PR<n>.json to record)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-OUT="${1:-$ROOT/BENCH_PR10.json}"
+OUT="${1:-$ROOT/build/bench_results.json}"
 BENCH_DIR="$ROOT/build/bench"
 
 if [[ ! -d "$BENCH_DIR" ]]; then

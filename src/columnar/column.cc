@@ -549,6 +549,36 @@ int ComparePlainRows(const Column& col, size_t a, size_t b) {
   return 0;
 }
 
+Result<Column> ConstantColumn(DataType type, const Value& v, size_t length) {
+  if (v.is_null()) return Column::MakeNull(type, length);
+  // Type check (and its error) exactly as the row-by-row builder does.
+  ColumnBuilder probe(type);
+  BL_RETURN_NOT_OK(probe.AppendValue(v));
+  switch (type) {
+    case DataType::kInt64:
+      return Column::MakeInt64(std::vector<int64_t>(length, v.int64_value()));
+    case DataType::kTimestamp:
+      return Column::MakeTimestamp(
+          std::vector<int64_t>(length, v.int64_value()));
+    case DataType::kDouble:
+      return Column::MakeDouble(std::vector<double>(length, v.AsDouble()));
+    case DataType::kBool:
+      return Column::MakeBool(
+          std::vector<uint8_t>(length, v.bool_value() ? 1 : 0));
+    case DataType::kString:
+    case DataType::kBytes: {
+      const std::string& s = v.string_value();
+      StringBufferBuilder out;
+      out.Reserve(length, length * s.size());
+      for (size_t i = 0; i < length; ++i) out.Append(s);
+      return type == DataType::kBytes
+                 ? Column::MakeBytes(out.Finish(), Buffer<uint8_t>())
+                 : Column::MakeString(out.Finish(), Buffer<uint8_t>());
+    }
+  }
+  return Status::InvalidArgument("unknown column type");
+}
+
 Result<Column> ReplaceWhere(const Column& col, const std::vector<uint8_t>& mask,
                             const Value& v) {
   const DataType type = col.type();

@@ -187,6 +187,13 @@ class ColumnBuilder {
 /// Value::Compare order (NULL first), without boxing either value.
 int ComparePlainRows(const Column& col, size_t a, size_t b);
 
+/// `length` copies of `v` as a plain column of `type`, byte-identical to
+/// appending `v` that many times to a ColumnBuilder (the all-NULL layout of
+/// Column::MakeNull when `v` is NULL). `v` must be NULL or fit the type, as
+/// for ColumnBuilder::AppendValue. Used for literals and hive partition
+/// columns.
+Result<Column> ConstantColumn(DataType type, const Value& v, size_t length);
+
 /// UPDATE's rewrite: a plain copy of `col` with every row where `mask` is
 /// non-zero set to `v`, identical to appending each row's boxed value (or
 /// `v`) to a ColumnBuilder — NULL rows hold the builder's placeholder and

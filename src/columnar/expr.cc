@@ -1,145 +1,10 @@
 #include "columnar/expr.h"
 
-#include <algorithm>
-#include <cassert>
-
 #include "common/strings.h"
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 
 namespace biglake {
 
 namespace {
-
-/// Counts comparisons resolved against dictionary entries (rather than rows):
-/// the regression guard for the O(dict + rows) encoded-data fast path.
-obs::Counter* DictComparesCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Default().GetCounter(METRIC_EXPR_DICT_COMPARES);
-  return c;
-}
-
-/// Applies a comparison to two boxed values known to be non-null.
-bool CompareValues(CmpOp op, const Value& a, const Value& b) {
-  int c = a.Compare(b);
-  switch (op) {
-    case CmpOp::kEq:
-      return c == 0;
-    case CmpOp::kNe:
-      return c != 0;
-    case CmpOp::kLt:
-      return c < 0;
-    case CmpOp::kLe:
-      return c <= 0;
-    case CmpOp::kGt:
-      return c > 0;
-    case CmpOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
-template <typename T>
-bool CompareRaw(CmpOp op, const T& a, const T& b) {
-  switch (op) {
-    case CmpOp::kEq:
-      return a == b;
-    case CmpOp::kNe:
-      return a != b;
-    case CmpOp::kLt:
-      return a < b;
-    case CmpOp::kLe:
-      return a <= b;
-    case CmpOp::kGt:
-      return a > b;
-    case CmpOp::kGe:
-      return a >= b;
-  }
-  return false;
-}
-
-/// Fast path: plain int64 column vs int64 literal.
-Column CompareInt64Literal(CmpOp op, const Column& col, int64_t lit) {
-  const auto& data = col.int64_data();
-  std::vector<uint8_t> out(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    out[i] = CompareRaw(op, data[i], lit) ? 1 : 0;
-  }
-  std::vector<uint8_t> validity = col.validity().ToVector();
-  return Column::MakeBool(std::move(out), std::move(validity));
-}
-
-/// Fast path: plain double column vs numeric literal.
-Column CompareDoubleLiteral(CmpOp op, const Column& col, double lit) {
-  const auto& data = col.double_data();
-  std::vector<uint8_t> out(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    out[i] = CompareRaw(op, data[i], lit) ? 1 : 0;
-  }
-  std::vector<uint8_t> validity = col.validity().ToVector();
-  return Column::MakeBool(std::move(out), std::move(validity));
-}
-
-/// Encoded fast path: dictionary strings vs string literal. Compares each
-/// dictionary entry once, then maps index->bool — O(dict + rows) instead of
-/// O(rows * strcmp).
-Column CompareDictStringLiteral(CmpOp op, const Column& col,
-                                const std::string& lit) {
-  const auto& dict = col.dictionary();
-  std::vector<uint8_t> dict_match(dict.size());
-  for (size_t d = 0; d < dict.size(); ++d) {
-    dict_match[d] = CompareRaw(op, dict[d], std::string_view(lit)) ? 1 : 0;
-  }
-  DictComparesCounter()->Add(dict.size());
-  const auto& idx = col.dict_indices();
-  std::vector<uint8_t> out(idx.size());
-  for (size_t i = 0; i < idx.size(); ++i) out[i] = dict_match[idx[i]];
-  std::vector<uint8_t> validity = col.validity().ToVector();
-  return Column::MakeBool(std::move(out), std::move(validity));
-}
-
-/// Encoded fast path: RLE int64 vs int64 literal — one comparison per run.
-Column CompareRleInt64Literal(CmpOp op, const Column& col, int64_t lit) {
-  const auto& values = col.run_values();
-  const auto& lengths = col.run_lengths();
-  std::vector<uint8_t> out;
-  out.reserve(col.length());
-  for (size_t r = 0; r < values.size(); ++r) {
-    uint8_t m = CompareRaw(op, values[r], lit) ? 1 : 0;
-    out.insert(out.end(), lengths[r], m);
-  }
-  return Column::MakeBool(std::move(out));
-}
-
-/// Generic (slow) path via boxed values with 3-valued logic.
-Column CompareGeneric(CmpOp op, const Column& lhs, const Column& rhs) {
-  size_t n = lhs.length();
-  std::vector<uint8_t> out(n, 0);
-  std::vector<uint8_t> validity(n, 1);
-  bool any_null = false;
-  for (size_t i = 0; i < n; ++i) {
-    Value a = lhs.GetValue(i);
-    Value b = rhs.GetValue(i);
-    if (a.is_null() || b.is_null()) {
-      validity[i] = 0;
-      any_null = true;
-      continue;
-    }
-    out[i] = CompareValues(op, a, b) ? 1 : 0;
-  }
-  if (!any_null) validity.clear();
-  return Column::MakeBool(std::move(out), std::move(validity));
-}
-
-Column BroadcastLiteral(const Value& v, DataType type, size_t n) {
-  ColumnBuilder b(type);
-  for (size_t i = 0; i < n; ++i) {
-    Status s = b.AppendValue(v);
-    assert(s.ok());
-    (void)s;
-  }
-  return b.Finish();
-}
 
 DataType LiteralType(const Value& v) {
   if (v.is_bool()) return DataType::kBool;
@@ -284,223 +149,6 @@ Result<DataType> Expr::ResultType(const Schema& schema) const {
   return Status::Internal("unreachable expr kind");
 }
 
-Result<Column> Expr::Evaluate(const RecordBatch& batch) const {
-  switch (kind_) {
-    case Kind::kColumn: {
-      BL_ASSIGN_OR_RETURN(const Column* col,
-                          batch.ColumnByName(column_name_));
-      return *col;
-    }
-    case Kind::kLiteral:
-      return BroadcastLiteral(literal_, LiteralType(literal_),
-                              batch.num_rows());
-    case Kind::kCompare: {
-      // Literal-vs-column fast paths (both operand orders), including
-      // encoded-data kernels.
-      const Expr& lhs = *children_[0];
-      const Expr& rhs = *children_[1];
-      const Expr* cexpr = nullptr;
-      const Expr* lexpr = nullptr;
-      CmpOp op = cmp_op_;
-      if (lhs.kind_ == Kind::kColumn && rhs.kind_ == Kind::kLiteral) {
-        cexpr = &lhs;
-        lexpr = &rhs;
-      } else if (lhs.kind_ == Kind::kLiteral && rhs.kind_ == Kind::kColumn) {
-        // Mirror the operator: lit < col  <=>  col > lit.
-        cexpr = &rhs;
-        lexpr = &lhs;
-        op = MirrorCmpOp(cmp_op_);
-      }
-      if (cexpr != nullptr && !lexpr->literal_.is_null()) {
-        BL_ASSIGN_OR_RETURN(const Column* col,
-                            batch.ColumnByName(cexpr->column_name_));
-        const Value& lit = lexpr->literal_;
-        if (col->encoding() == Encoding::kDictionary && lit.is_string()) {
-          return CompareDictStringLiteral(op, *col, lit.string_value());
-        }
-        if (col->encoding() == Encoding::kRunLength && lit.is_int64()) {
-          return CompareRleInt64Literal(op, *col, lit.int64_value());
-        }
-        if (col->encoding() == Encoding::kPlain) {
-          if (IsIntegerPhysical(col->type()) && lit.is_int64()) {
-            return CompareInt64Literal(op, *col, lit.int64_value());
-          }
-          if (col->type() == DataType::kDouble &&
-              (lit.is_double() || lit.is_int64())) {
-            return CompareDoubleLiteral(op, *col, lit.AsDouble());
-          }
-        }
-      }
-      BL_ASSIGN_OR_RETURN(Column l, lhs.Evaluate(batch));
-      BL_ASSIGN_OR_RETURN(Column r, rhs.Evaluate(batch));
-      if (l.length() != r.length()) {
-        return Status::InvalidArgument("comparison of unequal-length columns");
-      }
-      return CompareGeneric(cmp_op_, l, r);
-    }
-    case Kind::kLogical: {
-      if (logical_op_ == LogicalOp::kNot) {
-        BL_ASSIGN_OR_RETURN(Column c, children_[0]->Evaluate(batch));
-        size_t n = c.length();
-        std::vector<uint8_t> out(n);
-        std::vector<uint8_t> validity = c.validity().ToVector();
-        const auto& in = c.bool_data();
-        for (size_t i = 0; i < n; ++i) out[i] = in[i] ? 0 : 1;
-        return Column::MakeBool(std::move(out), std::move(validity));
-      }
-      BL_ASSIGN_OR_RETURN(Column l, children_[0]->Evaluate(batch));
-      BL_ASSIGN_OR_RETURN(Column r, children_[1]->Evaluate(batch));
-      size_t n = l.length();
-      const auto& lv = l.bool_data();
-      const auto& rv = r.bool_data();
-      std::vector<uint8_t> out(n, 0);
-      std::vector<uint8_t> validity(n, 1);
-      bool any_null = false;
-      for (size_t i = 0; i < n; ++i) {
-        bool ln = l.IsNull(i), rn = r.IsNull(i);
-        bool lb = !ln && lv[i], rb = !rn && rv[i];
-        if (logical_op_ == LogicalOp::kAnd) {
-          // Kleene: FALSE dominates NULL.
-          if ((!ln && !lv[i]) || (!rn && !rv[i])) {
-            out[i] = 0;
-          } else if (ln || rn) {
-            validity[i] = 0;
-            any_null = true;
-          } else {
-            out[i] = 1;
-          }
-        } else {  // OR: TRUE dominates NULL.
-          if (lb || rb) {
-            out[i] = 1;
-          } else if (ln || rn) {
-            validity[i] = 0;
-            any_null = true;
-          } else {
-            out[i] = 0;
-          }
-        }
-      }
-      if (!any_null) validity.clear();
-      return Column::MakeBool(std::move(out), std::move(validity));
-    }
-    case Kind::kArith: {
-      BL_ASSIGN_OR_RETURN(Column l, children_[0]->Evaluate(batch));
-      BL_ASSIGN_OR_RETURN(Column r, children_[1]->Evaluate(batch));
-      Column lp = l.Decode();
-      Column rp = r.Decode();
-      size_t n = lp.length();
-      bool as_double = lp.type() == DataType::kDouble ||
-                       rp.type() == DataType::kDouble ||
-                       arith_op_ == ArithOp::kDiv;
-      std::vector<uint8_t> validity(n, 1);
-      bool any_null = false;
-      auto get_d = [](const Column& c, size_t i) {
-        return c.type() == DataType::kDouble
-                   ? c.double_data()[i]
-                   : static_cast<double>(c.int64_data()[i]);
-      };
-      if (as_double) {
-        std::vector<double> out(n, 0.0);
-        for (size_t i = 0; i < n; ++i) {
-          if (lp.IsNull(i) || rp.IsNull(i)) {
-            validity[i] = 0;
-            any_null = true;
-            continue;
-          }
-          double a = get_d(lp, i), b = get_d(rp, i);
-          switch (arith_op_) {
-            case ArithOp::kAdd:
-              out[i] = a + b;
-              break;
-            case ArithOp::kSub:
-              out[i] = a - b;
-              break;
-            case ArithOp::kMul:
-              out[i] = a * b;
-              break;
-            case ArithOp::kDiv:
-              if (b == 0) {
-                validity[i] = 0;
-                any_null = true;
-              } else {
-                out[i] = a / b;
-              }
-              break;
-            case ArithOp::kMod:
-              return Status::InvalidArgument("MOD requires integer operands");
-          }
-        }
-        if (!any_null) validity.clear();
-        return Column::MakeDouble(std::move(out), std::move(validity));
-      }
-      std::vector<int64_t> out(n, 0);
-      const auto& a = lp.int64_data();
-      const auto& b = rp.int64_data();
-      for (size_t i = 0; i < n; ++i) {
-        if (lp.IsNull(i) || rp.IsNull(i)) {
-          validity[i] = 0;
-          any_null = true;
-          continue;
-        }
-        switch (arith_op_) {
-          case ArithOp::kAdd:
-            out[i] = a[i] + b[i];
-            break;
-          case ArithOp::kSub:
-            out[i] = a[i] - b[i];
-            break;
-          case ArithOp::kMul:
-            out[i] = a[i] * b[i];
-            break;
-          case ArithOp::kMod:
-            if (b[i] == 0) {
-              validity[i] = 0;
-              any_null = true;
-            } else {
-              out[i] = a[i] % b[i];
-            }
-            break;
-          case ArithOp::kDiv:
-            break;  // handled in double branch
-        }
-      }
-      if (!any_null) validity.clear();
-      return Column::MakeInt64(std::move(out), std::move(validity));
-    }
-    case Kind::kIsNull: {
-      BL_ASSIGN_OR_RETURN(Column c, children_[0]->Evaluate(batch));
-      size_t n = c.length();
-      std::vector<uint8_t> out(n);
-      for (size_t i = 0; i < n; ++i) out[i] = c.IsNull(i) ? 1 : 0;
-      return Column::MakeBool(std::move(out));
-    }
-    case Kind::kInList: {
-      BL_ASSIGN_OR_RETURN(Column c, children_[0]->Evaluate(batch));
-      size_t n = c.length();
-      std::vector<uint8_t> out(n, 0);
-      std::vector<uint8_t> validity(n, 1);
-      bool any_null = false;
-      for (size_t i = 0; i < n; ++i) {
-        Value v = c.GetValue(i);
-        if (v.is_null()) {
-          validity[i] = 0;
-          any_null = true;
-          continue;
-        }
-        for (const Value& item : in_list_) {
-          if (v == item) {
-            out[i] = 1;
-            break;
-          }
-        }
-      }
-      if (!any_null) validity.clear();
-      return Column::MakeBool(std::move(out), std::move(validity));
-    }
-  }
-  return Status::Internal("unreachable expr kind");
-}
-
 PruneResult Expr::EvaluatePrune(
     const std::function<const ColumnStats*(const std::string&)>& lookup)
     const {
@@ -630,16 +278,6 @@ std::string Expr::ToString() const {
     }
   }
   return "?";
-}
-
-std::vector<uint8_t> BoolColumnToMask(const Column& col) {
-  size_t n = col.length();
-  std::vector<uint8_t> mask(n, 0);
-  const auto& data = col.bool_data();
-  for (size_t i = 0; i < n; ++i) {
-    mask[i] = (!col.IsNull(i) && data[i]) ? 1 : 0;
-  }
-  return mask;
 }
 
 }  // namespace biglake

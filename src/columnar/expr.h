@@ -1,4 +1,4 @@
-// Scalar expressions with vectorized evaluation over RecordBatches.
+// Scalar expression trees.
 //
 // One expression tree serves four masters, exactly as GoogleSQL expressions
 // do inside Superluminal (Sec 2.2.1):
@@ -9,10 +9,11 @@
 //     EvaluatePrune, which decides from per-file column stats whether a file
 //     can possibly contain matching rows.
 //
-// Comparison kernels operate directly on dictionary-encoded string columns
-// (compare the dictionary once, then map indices) and on run-length-encoded
-// int64 columns (compare per run), mirroring Superluminal's ability to work
-// on encoded data without decoding (Sec 3.4).
+// This header only builds and inspects trees. Evaluation over a batch has
+// one implementation, the typed kernels in columnar/kernels.h
+// (kernels::EvaluatePredicate for filters, kernels::EvaluateColumn for
+// projections), which also work directly on dictionary- and run-length-
+// encoded columns (Sec 3.4).
 
 #ifndef BIGLAKE_COLUMNAR_EXPR_H_
 #define BIGLAKE_COLUMNAR_EXPR_H_
@@ -82,10 +83,6 @@ class Expr {
   const std::vector<ExprPtr>& children() const { return children_; }
   const std::vector<Value>& in_list() const { return in_list_; }
 
-  /// Evaluates vectorized over the batch. Comparison/logical nodes return a
-  /// BOOL column with SQL three-valued-logic validity.
-  Result<Column> Evaluate(const RecordBatch& batch) const;
-
   /// The result type given an input schema.
   Result<DataType> ResultType(const Schema& schema) const;
 
@@ -130,9 +127,6 @@ class Expr {
   std::vector<ExprPtr> children_;
   std::vector<Value> in_list_;
 };
-
-/// Converts a BOOL result column into a filter mask: NULL -> 0 (excluded).
-std::vector<uint8_t> BoolColumnToMask(const Column& col);
 
 /// Computes ColumnStats (min/max/null/distinct) over a column of any
 /// encoding; used when building Big Metadata entries and Parquet-lite

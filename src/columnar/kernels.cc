@@ -35,8 +35,8 @@ obs::Counter* DictComparesCounter() {
 
 // ---------------------------------------------------------------------------
 // Accessor views. A kernel loop is written once against `a[i]`/`b[i]`; a
-// literal operand becomes a Broadcast view (no BroadcastLiteral column), an
-// int64 span compared against a double becomes an on-the-fly promotion.
+// literal operand becomes a Broadcast view (no constant column), an int64
+// span compared against a double becomes an on-the-fly promotion.
 // All views are trivially copyable so the loops stay flat and vectorizable.
 // ---------------------------------------------------------------------------
 
@@ -151,9 +151,9 @@ BoolVec Filled(size_t n, bool bit) {
 // ---------------------------------------------------------------------------
 
 /// A numeric operand: an int64/double span (borrowed from a column or owned
-/// by an arith result), or a scalar (a literal — never broadcast). Validity
-/// is borrowed from the column or owned by the arith result; nullptr from
-/// valid_data() means all-valid.
+/// by an arith result or a NULL literal), or a scalar (a literal — never
+/// broadcast). Validity is borrowed from the column or owned by the result;
+/// nullptr from valid_data() means all-valid.
 struct NumVec {
   bool is_double = false;
   bool is_scalar = false;
@@ -185,6 +185,34 @@ struct NumVec {
   }
 };
 
+/// Borrowed view of a numeric column (int64/timestamp/double, plain or RLE;
+/// RLE runs are expanded once into a flat span — RLE columns carry no
+/// nulls). nullopt for a string/bool/dictionary column.
+std::optional<NumVec> NumView(const Column& col) {
+  NumVec v;
+  v.n = col.length();
+  if (col.encoding() == Encoding::kRunLength) {
+    v.own_i64.reserve(col.length());
+    const auto& values = col.run_values();
+    const auto& lengths = col.run_lengths();
+    for (size_t r = 0; r < values.size(); ++r) {
+      v.own_i64.insert(v.own_i64.end(), lengths[r], values[r]);
+    }
+    return v;
+  }
+  if (col.encoding() != Encoding::kPlain) return std::nullopt;
+  if (IsIntegerPhysical(col.type())) {
+    v.ref_i64 = &col.int64_data();
+  } else if (col.type() == DataType::kDouble) {
+    v.is_double = true;
+    v.ref_f64 = &col.double_data();
+  } else {
+    return std::nullopt;
+  }
+  v.ref_valid = &col.validity();
+  return v;
+}
+
 /// View of a NumVec as a double span, converting int64 spans into `scratch`
 /// once (a flat, vectorizable promotion pass). Scalars are not handled here.
 const double* AsDoubleSpan(const NumVec& v, size_t n,
@@ -215,17 +243,41 @@ const uint8_t* MergeValidity(const NumVec& l, const NumVec& r, size_t n,
   return v;
 }
 
+// int64 +, - and * wrap in two's complement (unsigned arithmetic, as the
+// IPC varint code does) instead of overflowing as signed UB.
+inline int64_t Add(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t Sub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t Mul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+inline double Add(double a, double b) { return a + b; }
+inline double Sub(double a, double b) { return a - b; }
+inline double Mul(double a, double b) { return a * b; }
+
+/// x % d with x % 0 = 0 (the caller nulls that lane) and x % -1 = 0, which
+/// is exact and never evaluates the trapping INT64_MIN % -1.
+inline int64_t Mod(int64_t a, int64_t d) {
+  return a % (d == 0 || d == -1 ? 1 : d);
+}
+
 template <typename T, typename A, typename B>
 void ArithLoop(ArithOp op, const A a, const B b, size_t n, T* out) {
   switch (op) {
     case ArithOp::kAdd:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = Add(a[i], b[i]);
       break;
     case ArithOp::kSub:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = Sub(a[i], b[i]);
       break;
     case ArithOp::kMul:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = Mul(a[i], b[i]);
       break;
     default:
       break;  // kDiv / kMod have their own null-producing loops
@@ -233,7 +285,7 @@ void ArithLoop(ArithOp op, const A a, const B b, size_t n, T* out) {
 }
 
 /// Division: a zero divisor nulls the lane (branch-free select) instead of
-/// trapping or producing inf; matches the legacy evaluator's 3VL result.
+/// trapping or producing inf.
 template <typename A, typename B>
 void DivLoop(const A a, const B b, size_t n, double* out, uint8_t* valid) {
   for (size_t i = 0; i < n; ++i) {
@@ -248,53 +300,34 @@ template <typename A, typename B>
 void ModLoop(const A a, const B b, size_t n, int64_t* out, uint8_t* valid) {
   for (size_t i = 0; i < n; ++i) {
     int64_t d = b[i];
-    uint8_t nz = d != 0;
-    out[i] = nz ? a[i] % d : 0;
-    valid[i] &= nz;
+    out[i] = Mod(a[i], d);
+    valid[i] &= d != 0;
   }
 }
 
-/// Evaluates a numeric subtree (column ref / int64 / double literal /
-/// arithmetic) into a NumVec. nullopt = shape not covered by the kernels
-/// (the caller falls back to the legacy evaluator for the enclosing node);
-/// a Status is a real evaluation error, identical to the legacy one.
+/// Evaluates a numeric subtree (numeric column ref / int64, double or NULL
+/// literal / arithmetic) into a NumVec. nullopt = not a numeric operand
+/// (the caller takes the generic path); a Status is an evaluation error —
+/// arithmetic over a non-numeric operand, or MOD over a double.
 Result<std::optional<NumVec>> EvalNum(const Expr& e, const RecordBatch& batch) {
+  const size_t n = batch.num_rows();
   switch (e.kind()) {
     case Expr::Kind::kColumn: {
       BL_ASSIGN_OR_RETURN(const Column* col,
                           batch.ColumnByName(e.column_name()));
-      NumVec v;
-      v.n = col->length();
-      if (col->encoding() == Encoding::kPlain &&
-          IsIntegerPhysical(col->type())) {
-        v.ref_i64 = &col->int64_data();
-        v.ref_valid = &col->validity();
-        return std::optional<NumVec>(std::move(v));
-      }
-      if (col->encoding() == Encoding::kPlain &&
-          col->type() == DataType::kDouble) {
-        v.is_double = true;
-        v.ref_f64 = &col->double_data();
-        v.ref_valid = &col->validity();
-        return std::optional<NumVec>(std::move(v));
-      }
-      if (col->encoding() == Encoding::kRunLength) {
-        // Decode runs into a flat span once; RLE columns carry no nulls.
-        v.own_i64.reserve(col->length());
-        const auto& values = col->run_values();
-        const auto& lengths = col->run_lengths();
-        for (size_t r = 0; r < values.size(); ++r) {
-          v.own_i64.insert(v.own_i64.end(), lengths[r], values[r]);
-        }
-        return std::optional<NumVec>(std::move(v));
-      }
-      return std::optional<NumVec>();  // string/bool/dictionary: not numeric
+      return NumView(*col);
     }
     case Expr::Kind::kLiteral: {
       const Value& lit = e.literal();
       NumVec v;
+      v.n = n;
+      if (lit.is_null()) {
+        // NULL is a numeric operand whose every lane is NULL.
+        v.own_i64.assign(n, 0);
+        v.own_valid.assign(n, 0);
+        return std::optional<NumVec>(std::move(v));
+      }
       v.is_scalar = true;
-      v.n = batch.num_rows();
       if (lit.is_int64()) {
         v.s_i64 = lit.int64_value();
         return std::optional<NumVec>(std::move(v));
@@ -304,15 +337,17 @@ Result<std::optional<NumVec>> EvalNum(const Expr& e, const RecordBatch& batch) {
         v.s_f64 = lit.double_value();
         return std::optional<NumVec>(std::move(v));
       }
-      return std::optional<NumVec>();  // NULL/string/bool literal
+      return std::optional<NumVec>();  // string/bool literal
     }
     case Expr::Kind::kArith: {
       BL_ASSIGN_OR_RETURN(std::optional<NumVec> lo,
                           EvalNum(*e.children()[0], batch));
-      if (!lo.has_value()) return std::optional<NumVec>();
       BL_ASSIGN_OR_RETURN(std::optional<NumVec> ro,
                           EvalNum(*e.children()[1], batch));
-      if (!ro.has_value()) return std::optional<NumVec>();
+      if (!lo.has_value() || !ro.has_value()) {
+        return Status::InvalidArgument(
+            "arithmetic requires numeric operands: " + e.ToString());
+      }
       const NumVec& l = *lo;
       const NumVec& r = *ro;
       ArithOp op = e.arith_op();
@@ -320,7 +355,6 @@ Result<std::optional<NumVec>> EvalNum(const Expr& e, const RecordBatch& batch) {
         return Status::InvalidArgument("MOD requires integer operands");
       }
       const bool dbl = l.is_double || r.is_double || op == ArithOp::kDiv;
-      const size_t n = batch.num_rows();
       NumVec out;
       out.n = n;
       out.is_double = dbl;
@@ -334,9 +368,9 @@ Result<std::optional<NumVec>> EvalNum(const Expr& e, const RecordBatch& batch) {
             return std::optional<NumVec>(std::move(out));
           }
           out.is_scalar = true;
-          out.s_f64 = op == ArithOp::kAdd   ? a + b
-                      : op == ArithOp::kSub ? a - b
-                      : op == ArithOp::kMul ? a * b
+          out.s_f64 = op == ArithOp::kAdd   ? Add(a, b)
+                      : op == ArithOp::kSub ? Sub(a, b)
+                      : op == ArithOp::kMul ? Mul(a, b)
                                             : a / b;
         } else {
           int64_t a = l.s_i64, b = r.s_i64;
@@ -346,10 +380,10 @@ Result<std::optional<NumVec>> EvalNum(const Expr& e, const RecordBatch& batch) {
             return std::optional<NumVec>(std::move(out));
           }
           out.is_scalar = true;
-          out.s_i64 = op == ArithOp::kAdd   ? a + b
-                      : op == ArithOp::kSub ? a - b
-                      : op == ArithOp::kMul ? a * b
-                                            : a % b;
+          out.s_i64 = op == ArithOp::kAdd   ? Add(a, b)
+                      : op == ArithOp::kSub ? Sub(a, b)
+                      : op == ArithOp::kMul ? Mul(a, b)
+                                            : Mod(a, b);
         }
         return std::optional<NumVec>(std::move(out));
       }
@@ -422,8 +456,8 @@ Result<std::optional<NumVec>> EvalNum(const Expr& e, const RecordBatch& batch) {
 // ---------------------------------------------------------------------------
 
 /// Cross-type-class comparisons have a constant outcome per Value::Compare's
-/// type-tag ordering: bool < numeric < string. Returns the class rank for a
-/// column type / literal, or -1 when the operand has no class (NULL).
+/// type-tag ordering: bool < numeric < string. Returns the class rank of a
+/// column type / non-null literal.
 int TypeClassRank(DataType t) {
   if (t == DataType::kBool) return 0;
   if (IsStringPhysical(t)) return 2;
@@ -597,28 +631,81 @@ BoolVec CompareNum(CmpOp op, const NumVec& l, const NumVec& r, size_t n) {
   return out;
 }
 
+/// The generic comparison: two decoded (plain) columns of any types,
+/// compared lane by lane by type class. Different classes give a constant
+/// per Value::Compare's type-tag ordering; numbers compare through the
+/// numeric kernel; strings and bools compare directly.
+BoolVec CompareColumns(CmpOp op, const Column& l, const Column& r) {
+  const size_t n = l.length();
+  const uint8_t* lv = l.has_validity() ? l.validity().data() : nullptr;
+  const uint8_t* rv = r.has_validity() ? r.validity().data() : nullptr;
+  const int lc = TypeClassRank(l.type()), rc = TypeClassRank(r.type());
+  if (lc != rc) {
+    BoolVec out = Filled(n, CmpResult(op, Sign3(lc, rc)));
+    ApplyValidity(&out, lv, rv);
+    return out;
+  }
+  if (lc == 1) return CompareNum(op, *NumView(l), *NumView(r), n);
+  BoolVec out;
+  out.data.resize(n);
+  if (lc == 2) {
+    const auto& a = l.string_data();
+    const auto& b = r.string_data();
+    for (size_t i = 0; i < n; ++i) {
+      out.data[i] = CmpResult(op, a[i].compare(b[i])) ? 1 : 0;
+    }
+  } else {
+    const uint8_t* a = l.bool_data().data();
+    const uint8_t* b = r.bool_data().data();
+    for (size_t i = 0; i < n; ++i) {
+      out.data[i] = CmpResult(op, Sign3<int>(a[i] != 0, b[i] != 0)) ? 1 : 0;
+    }
+  }
+  ApplyValidity(&out, lv, rv);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Predicate tree evaluation.
 // ---------------------------------------------------------------------------
 
 Result<BoolVec> EvalPredNode(const Expr& e, const RecordBatch& batch);
 
-/// Legacy fallback for a subtree the kernels do not cover: evaluates through
-/// Expr::Evaluate and canonicalizes the result (null lanes carry data 0).
-Result<BoolVec> FallbackPred(const Expr& e, const RecordBatch& batch) {
-  BL_ASSIGN_OR_RETURN(Column c, e.Evaluate(batch));
-  if (c.type() != DataType::kBool || c.encoding() != Encoding::kPlain) {
-    return Status::InvalidArgument("predicate does not evaluate to BOOL");
+Status NotBool() {
+  return Status::InvalidArgument("predicate does not evaluate to BOOL");
+}
+
+/// True when some lane of a validity span is NULL (an empty span: none).
+bool AnyNull(const std::vector<uint8_t>& validity) {
+  return std::find(validity.begin(), validity.end(), 0) != validity.end();
+}
+
+/// An arith result as a column: NULL lanes carry 0, validity only when some
+/// lane is NULL.
+Column NumVecToColumn(NumVec v) {
+  const size_t n = v.n;
+  if (v.is_scalar) {
+    return *(v.is_double ? ConstantColumn(DataType::kDouble,
+                                          Value::Double(v.s_f64), n)
+                         : ConstantColumn(DataType::kInt64,
+                                          Value::Int64(v.s_i64), n));
   }
-  BoolVec out;
-  out.data = c.bool_data().ToVector();
-  out.validity = c.validity().ToVector();
-  if (!out.validity.empty()) {
-    uint8_t* d = out.data.data();
-    const uint8_t* v = out.validity.data();
-    for (size_t i = 0; i < out.data.size(); ++i) d[i] &= v[i];
+  if (!AnyNull(v.own_valid)) {
+    v.own_valid.clear();
+  } else {
+    const uint8_t* valid = v.own_valid.data();
+    if (v.is_double) {
+      double* d = v.own_f64.data();
+      for (size_t i = 0; i < n; ++i) d[i] = valid[i] ? d[i] : 0.0;
+    } else {
+      int64_t* d = v.own_i64.data();
+      for (size_t i = 0; i < n; ++i) d[i] = valid[i] ? d[i] : 0;
+    }
   }
-  return out;
+  return v.is_double ? Column::MakeDouble(std::move(v.own_f64),
+                                          std::move(v.own_valid))
+                     : Column::MakeInt64(std::move(v.own_i64),
+                                         std::move(v.own_valid));
 }
 
 Result<BoolVec> EvalCompare(const Expr& e, const RecordBatch& batch) {
@@ -652,36 +739,16 @@ Result<BoolVec> EvalCompare(const Expr& e, const RecordBatch& batch) {
     if (lexpr->literal().is_null()) return AllNull(n);
     return CompareColumnLit(op, *col, lexpr->literal());
   }
-  // Plain string column vs plain string column: flat strcmp loop.
-  if (lhs.kind() == Expr::Kind::kColumn && rhs.kind() == Expr::Kind::kColumn) {
-    BL_ASSIGN_OR_RETURN(const Column* lc,
-                        batch.ColumnByName(lhs.column_name()));
-    BL_ASSIGN_OR_RETURN(const Column* rc,
-                        batch.ColumnByName(rhs.column_name()));
-    if (lc->encoding() == Encoding::kPlain &&
-        rc->encoding() == Encoding::kPlain &&
-        IsStringPhysical(lc->type()) && IsStringPhysical(rc->type())) {
-      BoolVec out;
-      out.data.resize(n);
-      const auto& a = lc->string_data();
-      const auto& b = rc->string_data();
-      CmpOp sop = e.cmp_op();
-      for (size_t i = 0; i < n; ++i) {
-        out.data[i] = CmpResult(sop, a[i].compare(b[i])) ? 1 : 0;
-      }
-      ApplyValidity(&out,
-                    lc->has_validity() ? lc->validity().data() : nullptr,
-                    rc->has_validity() ? rc->validity().data() : nullptr);
-      return out;
-    }
-  }
   // Numeric span kernels for column/arith operands.
   BL_ASSIGN_OR_RETURN(std::optional<NumVec> lo, EvalNum(lhs, batch));
   if (lo.has_value()) {
     BL_ASSIGN_OR_RETURN(std::optional<NumVec> ro, EvalNum(rhs, batch));
     if (ro.has_value()) return CompareNum(e.cmp_op(), *lo, *ro, n);
   }
-  return FallbackPred(e, batch);
+  // Everything else (strings, bools, encoded or mixed-class operands).
+  BL_ASSIGN_OR_RETURN(Column l, EvaluateColumn(lhs, batch));
+  BL_ASSIGN_OR_RETURN(Column r, EvaluateColumn(rhs, batch));
+  return CompareColumns(e.cmp_op(), l.Decode(), r.Decode());
 }
 
 Result<BoolVec> EvalLogical(const Expr& e, const RecordBatch& batch) {
@@ -858,6 +925,75 @@ void InListNumericSet(const NumVec& nv, const std::vector<Value>& items,
   }
 }
 
+/// IN-list over a plain string column: a typed set for long lists, else
+/// one accumulating flat loop per item. Non-string items never match.
+BoolVec InListStrings(const Column& col, const std::vector<Value>& items) {
+  const size_t n = col.length();
+  BoolVec out;
+  out.data.assign(n, 0);
+  const auto& data = col.string_data();
+  uint8_t* o = out.data.data();
+  if (items.size() > kInListSetMinItems) {
+    FlatIdMap<std::string_view> set(items.size());
+    for (const Value& item : items) {
+      if (item.is_string()) set.Insert(item.string_value());
+    }
+    for (size_t i = 0; i < n; ++i) o[i] = set.Contains(data[i]) ? 1 : 0;
+  } else {
+    for (const Value& item : items) {
+      if (!item.is_string()) continue;
+      const std::string& s = item.string_value();
+      for (size_t i = 0; i < n; ++i) o[i] |= data[i] == s;
+    }
+  }
+  ApplyValidity(&out, col.has_validity() ? col.validity().data() : nullptr,
+                nullptr);
+  return out;
+}
+
+/// IN-list over a numeric span: a typed set for long lists, else one
+/// accumulating flat loop per item. An empty list yields all-false (nulls
+/// stay null).
+BoolVec InListNumeric(const NumVec& nv, const std::vector<Value>& items,
+                      size_t n) {
+  BoolVec out;
+  out.data.assign(n, 0);
+  uint8_t* o = out.data.data();
+  if (items.size() > kInListSetMinItems) {
+    InListNumericSet(nv, items, n, o);
+    ApplyValidity(&out, nv.valid_data(), nullptr);
+    return out;
+  }
+  for (const Value& item : items) {
+    if (item.is_null()) continue;  // NULL never equals anything
+    if (item.is_int64()) {
+      if (nv.is_double) {
+        const double d = static_cast<double>(item.int64_value());
+        const double* a = nv.f64_data();
+        for (size_t i = 0; i < n; ++i) o[i] |= a[i] == d;
+      } else {
+        const int64_t v = item.int64_value();
+        const int64_t* a = nv.i64_data();
+        for (size_t i = 0; i < n; ++i) o[i] |= a[i] == v;
+      }
+    } else if (item.is_double()) {
+      const double d = item.double_value();
+      if (nv.is_double) {
+        const double* a = nv.f64_data();
+        for (size_t i = 0; i < n; ++i) o[i] |= a[i] == d;
+      } else {
+        const int64_t* a = nv.i64_data();
+        for (size_t i = 0; i < n; ++i) {
+          o[i] |= static_cast<double>(a[i]) == d;
+        }
+      }
+    }
+    // string/bool items never equal a numeric value (type-class ordering)
+  }
+  ApplyValidity(&out, nv.valid_data(), nullptr);
+  return out;
+}
+
 Result<BoolVec> EvalInList(const Expr& e, const RecordBatch& batch) {
   const Expr& child = *e.children()[0];
   const size_t n = batch.num_rows();
@@ -865,8 +1001,6 @@ Result<BoolVec> EvalInList(const Expr& e, const RecordBatch& batch) {
   if (child.kind() == Expr::Kind::kColumn) {
     BL_ASSIGN_OR_RETURN(const Column* col,
                         batch.ColumnByName(child.column_name()));
-    const uint8_t* valid =
-        col->has_validity() ? col->validity().data() : nullptr;
     if (col->encoding() == Encoding::kDictionary) {
       // Encoded-data kernel: resolve the whole IN-list against the
       // dictionary, then map indices once.
@@ -886,72 +1020,30 @@ Result<BoolVec> EvalInList(const Expr& e, const RecordBatch& batch) {
       const uint8_t* m = dict_in.data();
       uint8_t* o = out.data.data();
       for (size_t i = 0; i < n; ++i) o[i] = m[ix[i]];
-      ApplyValidity(&out, valid, nullptr);
-      return out;
-    }
-    if (col->encoding() == Encoding::kPlain &&
-        IsStringPhysical(col->type())) {
-      BoolVec out;
-      out.data.assign(n, 0);
-      const auto& data = col->string_data();
-      uint8_t* o = out.data.data();
-      if (items.size() > kInListSetMinItems) {
-        FlatIdMap<std::string_view> set(items.size());
-        for (const Value& item : items) {
-          if (item.is_string()) set.Insert(item.string_value());
-        }
-        for (size_t i = 0; i < n; ++i) o[i] = set.Contains(data[i]) ? 1 : 0;
-      } else {
-        for (const Value& item : items) {
-          if (!item.is_string()) continue;
-          const std::string& s = item.string_value();
-          for (size_t i = 0; i < n; ++i) o[i] |= data[i] == s;
-        }
-      }
-      ApplyValidity(&out, valid, nullptr);
+      ApplyValidity(&out,
+                    col->has_validity() ? col->validity().data() : nullptr,
+                    nullptr);
       return out;
     }
   }
-  // Numeric child (plain/RLE column or arithmetic): a typed set for long
-  // lists, else one accumulating flat loop per IN-list item. An empty list
-  // yields all-false (nulls stay null).
+  // Numeric child (plain/RLE column or arithmetic) probes its span directly.
   BL_ASSIGN_OR_RETURN(std::optional<NumVec> nv, EvalNum(child, batch));
-  if (!nv.has_value() || nv->is_scalar) return FallbackPred(e, batch);
+  if (nv.has_value() && !nv->is_scalar) return InListNumeric(*nv, items, n);
+  // Everything else is evaluated into a column and matched by type class.
+  BL_ASSIGN_OR_RETURN(Column c, EvaluateColumn(child, batch));
+  c = c.Decode();
+  if (IsStringPhysical(c.type())) return InListStrings(c, items);
+  if (c.type() != DataType::kBool) return InListNumeric(*NumView(c), items, n);
   BoolVec out;
   out.data.assign(n, 0);
-  uint8_t* o = out.data.data();
-  if (items.size() > kInListSetMinItems) {
-    InListNumericSet(*nv, items, n, o);
-    ApplyValidity(&out, nv->valid_data(), nullptr);
-    return out;
-  }
+  const uint8_t* d = c.bool_data().data();
   for (const Value& item : items) {
-    if (item.is_null()) continue;  // NULL never equals anything
-    if (item.is_int64()) {
-      if (nv->is_double) {
-        const double d = static_cast<double>(item.int64_value());
-        const double* a = nv->f64_data();
-        for (size_t i = 0; i < n; ++i) o[i] |= a[i] == d;
-      } else {
-        const int64_t v = item.int64_value();
-        const int64_t* a = nv->i64_data();
-        for (size_t i = 0; i < n; ++i) o[i] |= a[i] == v;
-      }
-    } else if (item.is_double()) {
-      const double d = item.double_value();
-      if (nv->is_double) {
-        const double* a = nv->f64_data();
-        for (size_t i = 0; i < n; ++i) o[i] |= a[i] == d;
-      } else {
-        const int64_t* a = nv->i64_data();
-        for (size_t i = 0; i < n; ++i) {
-          o[i] |= static_cast<double>(a[i]) == d;
-        }
-      }
-    }
-    // string/bool items never equal a numeric value (type-class ordering)
+    if (!item.is_bool()) continue;  // only a bool equals a bool
+    const uint8_t bit = item.bool_value() ? 1 : 0;
+    for (size_t i = 0; i < n; ++i) out.data[i] |= (d[i] != 0) == bit;
   }
-  ApplyValidity(&out, nv->valid_data(), nullptr);
+  ApplyValidity(&out, c.has_validity() ? c.validity().data() : nullptr,
+                nullptr);
   return out;
 }
 
@@ -961,15 +1053,12 @@ Result<BoolVec> EvalPredNode(const Expr& e, const RecordBatch& batch) {
       const Value& lit = e.literal();
       if (lit.is_null()) return AllNull(batch.num_rows());
       if (lit.is_bool()) return Filled(batch.num_rows(), lit.bool_value());
-      return FallbackPred(e, batch);
+      return NotBool();
     }
     case Expr::Kind::kColumn: {
       BL_ASSIGN_OR_RETURN(const Column* col,
                           batch.ColumnByName(e.column_name()));
-      if (col->type() != DataType::kBool ||
-          col->encoding() != Encoding::kPlain) {
-        return FallbackPred(e, batch);
-      }
+      if (col->type() != DataType::kBool) return NotBool();
       BoolVec out;
       out.data = col->bool_data().ToVector();
       out.validity = col->validity().ToVector();
@@ -985,35 +1074,23 @@ Result<BoolVec> EvalPredNode(const Expr& e, const RecordBatch& batch) {
     case Expr::Kind::kLogical:
       return EvalLogical(e, batch);
     case Expr::Kind::kIsNull: {
-      const Expr& child = *e.children()[0];
-      if (child.kind() == Expr::Kind::kColumn) {
-        BL_ASSIGN_OR_RETURN(const Column* col,
-                            batch.ColumnByName(child.column_name()));
-        BoolVec out;
-        out.data.resize(col->length());
-        if (col->has_validity()) {
-          const uint8_t* v = col->validity().data();
-          for (size_t i = 0; i < out.data.size(); ++i) out.data[i] = v[i] ^ 1;
-        } else {
-          std::fill(out.data.begin(), out.data.end(), 0);
-        }
-        return out;
-      }
-      // Non-column child: evaluate it through the legacy path and map
-      // validity, mirroring Expr::Evaluate exactly.
-      BL_ASSIGN_OR_RETURN(Column c, child.Evaluate(batch));
+      BL_ASSIGN_OR_RETURN(Column c, EvaluateColumn(*e.children()[0], batch));
       BoolVec out;
-      out.data.resize(c.length());
-      for (size_t i = 0; i < c.length(); ++i) {
-        out.data[i] = c.IsNull(i) ? 1 : 0;
+      out.data.assign(c.length(), 0);
+      if (c.has_validity()) {
+        const uint8_t* v = c.validity().data();
+        for (size_t i = 0; i < out.data.size(); ++i) out.data[i] = v[i] ^ 1;
       }
       return out;
     }
     case Expr::Kind::kInList:
       return EvalInList(e, batch);
-    default:
-      return FallbackPred(e, batch);
+    case Expr::Kind::kArith:
+      // Evaluated first so an arithmetic error surfaces as itself.
+      BL_RETURN_NOT_OK(EvalNum(e, batch).status());
+      return NotBool();
   }
+  return Status::Internal("unreachable expr kind");
 }
 
 }  // namespace
@@ -1034,6 +1111,30 @@ void AndMaskInPlace(std::vector<uint8_t>* mask,
 Result<BoolVec> EvaluatePredicate(const Expr& expr, const RecordBatch& batch) {
   RowsEvaluatedCounter()->Add(batch.num_rows());
   return EvalPredNode(expr, batch);
+}
+
+Result<Column> EvaluateColumn(const Expr& e, const RecordBatch& batch) {
+  const size_t n = batch.num_rows();
+  switch (e.kind()) {
+    case Expr::Kind::kColumn: {
+      BL_ASSIGN_OR_RETURN(const Column* col,
+                          batch.ColumnByName(e.column_name()));
+      return *col;
+    }
+    case Expr::Kind::kLiteral: {
+      BL_ASSIGN_OR_RETURN(DataType t, e.ResultType(*batch.schema()));
+      return ConstantColumn(t, e.literal(), n);
+    }
+    case Expr::Kind::kArith: {
+      BL_ASSIGN_OR_RETURN(std::optional<NumVec> v, EvalNum(e, batch));
+      return NumVecToColumn(std::move(*v));
+    }
+    default: {
+      BL_ASSIGN_OR_RETURN(BoolVec b, EvalPredNode(e, batch));
+      if (!AnyNull(b.validity)) b.validity.clear();
+      return Column::MakeBool(std::move(b.data), std::move(b.validity));
+    }
+  }
 }
 
 void ObserveSelectivity(uint64_t selected, uint64_t total) {

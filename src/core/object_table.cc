@@ -1,5 +1,6 @@
 #include "core/object_table.h"
 
+#include "columnar/kernels.h"
 #include "common/random.h"
 #include "common/strings.h"
 
@@ -81,13 +82,11 @@ Result<RecordBatch> ObjectTableService::Scan(const Principal& principal,
   if (access.deny_all_rows) {
     return RecordBatch::Empty(batch.schema());
   }
-  if (access.row_filter != nullptr) {
-    BL_ASSIGN_OR_RETURN(Column mask, access.row_filter->Evaluate(batch));
-    batch = batch.Filter(BoolColumnToMask(mask));
-  }
-  if (filter != nullptr) {
-    BL_ASSIGN_OR_RETURN(Column mask, filter->Evaluate(batch));
-    batch = batch.Filter(BoolColumnToMask(mask));
+  for (const ExprPtr& pred : {access.row_filter, filter}) {
+    if (pred == nullptr) continue;
+    BL_ASSIGN_OR_RETURN(kernels::BoolVec mask,
+                        kernels::EvaluatePredicate(*pred, batch));
+    batch = batch.Filter(kernels::BoolVecToMask(mask));
   }
   // Attribute masking (rarely used, but uniform with structured tables).
   if (!access.masked_columns.empty()) {

@@ -12,6 +12,7 @@
 #include "common/strings.h"
 #include "format/object_source.h"
 #include "format/parquet_lite.h"
+#include "meta/metadata_cache.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -640,33 +641,9 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
       // Materialize referenced hive partition columns as constant virtual
       // columns so predicates and row filters can mention them even though
       // they are not stored in the data files.
-      {
-        std::vector<Field> fields(batch.schema()->fields());
-        std::vector<Column> cols;
-        for (size_t c = 0; c < batch.num_columns(); ++c) {
-          cols.push_back(batch.column(c));
-        }
-        bool added = false;
-        for (const auto& [pcol, pval] : fm.file.partition) {
-          if (batch.schema()->FieldIndex(pcol) >= 0) continue;
-          bool referenced =
-              std::find(state.read_columns.begin(), state.read_columns.end(),
-                        pcol) != state.read_columns.end();
-          if (!referenced) continue;
-          DataType t = pval.is_int64() ? DataType::kInt64 : DataType::kString;
-          ColumnBuilder builder(t);
-          for (size_t r = 0; r < batch.num_rows(); ++r) {
-            Status s = builder.AppendValue(pval);
-            if (!s.ok()) return s;
-          }
-          fields.push_back({pcol, t, false});
-          cols.push_back(builder.Finish());
-          added = true;
-        }
-        if (added) {
-          batch = RecordBatch(MakeSchema(std::move(fields)), std::move(cols));
-        }
-      }
+      BL_ASSIGN_OR_RETURN(batch, AddPartitionColumns(std::move(batch),
+                                                     fm.file.partition,
+                                                     state.read_columns));
 
       // Requested columns present in this file (drops filter-only columns).
       std::vector<std::string> available;
@@ -674,18 +651,13 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
         if (batch.schema()->FieldIndex(c) >= 0) available.push_back(c);
       }
 
-      RecordBatch secured;
-      const bool fused = state.options.use_vectorized_kernels &&
-                         !state.options.use_row_oriented_reader &&
-                         !available.empty() &&
-                         (state.options.predicate != nullptr ||
-                          state.access.row_filter != nullptr);
-      if (fused) {
-        // Fused filter→project→mask: kernel masks over the decoded block,
-        // one selection vector, then a single pass over the requested
-        // columns that gathers and secures each one — instead of up to two
-        // eager full-column Filter() copies plus a Project() plus a
-        // separate masking pass. Row-identical to the legacy branch below.
+      // Filter→project→mask in one pass: kernel masks over the decoded
+      // block (predicate AND row filter) make one selection vector; then
+      // each requested column is gathered at the selection (or shared
+      // whole when nothing filters) and secured.
+      std::optional<SelectionVector> sel;
+      if (state.options.predicate != nullptr ||
+          state.access.row_filter != nullptr) {
         std::vector<uint8_t> mask;
         if (state.options.predicate != nullptr) {
           BL_ASSIGN_OR_RETURN(
@@ -705,69 +677,42 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
             kernels::AndMaskInPlace(&mask, rf_mask);
           }
         }
-        SelectionVector sel = SelectionVector::FromMask(mask);
-        kernels::ObserveSelectivity(sel.size(), batch.num_rows());
-        if (sel.empty()) continue;
-        std::vector<Field> out_fields;
-        std::vector<Column> out_cols;
-        out_fields.reserve(available.size());
-        out_cols.reserve(available.size());
-        for (const auto& name : available) {
-          size_t idx =
-              static_cast<size_t>(batch.schema()->FieldIndex(name));
-          const Field& f = batch.schema()->field(idx);
-          auto mit = state.access.masked_columns.find(f.name);
-          if (mit == state.access.masked_columns.end()) {
-            out_cols.push_back(batch.column(idx).Gather(sel.ids()));
-            out_fields.push_back(f);
-          } else if (mit->second == MaskType::kNullify) {
-            // Fully-masked column: emit NULLs directly, never gather the
-            // rows we would immediately throw away.
-            out_cols.push_back(Column::MakeNull(f.type, sel.size()));
-            out_fields.push_back(MaskedField(f, state.access.masked_columns));
-          } else {
-            out_cols.push_back(
-                ApplyMask(batch.column(idx).Gather(sel.ids()), mit->second));
-            out_fields.push_back(MaskedField(f, state.access.masked_columns));
-          }
-        }
-        kernels::CountSelectionMaterialization();
-        secured = RecordBatch(MakeSchema(std::move(out_fields)),
-                              std::move(out_cols));
-      } else {
-        // Pushed-down user predicate.
-        if (state.options.predicate != nullptr) {
-          BL_ASSIGN_OR_RETURN(Column mask_col,
-                              state.options.predicate->Evaluate(batch));
-          batch = batch.Filter(BoolColumnToMask(mask_col));
-        }
-        // Security row filter — enforced here, inside the trust boundary.
-        if (state.access.row_filter != nullptr) {
-          BL_ASSIGN_OR_RETURN(Column mask_col,
-                              state.access.row_filter->Evaluate(batch));
-          batch = batch.Filter(BoolColumnToMask(mask_col));
-        }
-        if (batch.num_rows() == 0) continue;
-        RecordBatch projected;
-        BL_ASSIGN_OR_RETURN(projected, batch.Project(available));
-
-        // Data masking, after filtering so masked values never leave.
-        std::vector<Column> out_cols;
-        std::vector<Field> out_fields;
-        for (size_t c = 0; c < projected.num_columns(); ++c) {
-          const Field& f = projected.schema()->field(c);
-          auto mit = state.access.masked_columns.find(f.name);
-          if (mit == state.access.masked_columns.end()) {
-            out_cols.push_back(projected.column(c));
-            out_fields.push_back(f);
-          } else {
-            out_cols.push_back(ApplyMask(projected.column(c), mit->second));
-            out_fields.push_back(MaskedField(f, state.access.masked_columns));
-          }
-        }
-        secured = RecordBatch(MakeSchema(std::move(out_fields)),
-                              std::move(out_cols));
+        sel = SelectionVector::FromMask(mask);
+        kernels::ObserveSelectivity(sel->size(), batch.num_rows());
+        if (sel->empty()) continue;
       }
+      const size_t out_rows = sel.has_value() ? sel->size() : batch.num_rows();
+      std::vector<Field> out_fields;
+      std::vector<Column> out_cols;
+      out_fields.reserve(available.size());
+      out_cols.reserve(available.size());
+      for (const auto& name : available) {
+        size_t idx = static_cast<size_t>(batch.schema()->FieldIndex(name));
+        const Field& f = batch.schema()->field(idx);
+        auto mit = state.access.masked_columns.find(f.name);
+        if (mit != state.access.masked_columns.end() &&
+            mit->second == MaskType::kNullify) {
+          // Fully-masked column: emit NULLs directly, never gather the
+          // rows we would immediately throw away.
+          out_cols.push_back(Column::MakeNull(f.type, out_rows));
+          out_fields.push_back(MaskedField(f, state.access.masked_columns));
+          continue;
+        }
+        Column col = sel.has_value() ? batch.column(idx).Gather(sel->ids())
+                                     : batch.column(idx);
+        if (mit == state.access.masked_columns.end()) {
+          out_cols.push_back(std::move(col));
+          out_fields.push_back(f);
+        } else {
+          out_cols.push_back(ApplyMask(col, mit->second));
+          out_fields.push_back(MaskedField(f, state.access.masked_columns));
+        }
+      }
+      if (sel.has_value() && !out_cols.empty()) {
+        kernels::CountSelectionMaterialization();
+      }
+      RecordBatch secured(MakeSchema(std::move(out_fields)),
+                          std::move(out_cols));
 
       if (!state.options.partial_aggregates.empty()) {
         // Aggregate pushdown: accumulate; one partial batch per stream.

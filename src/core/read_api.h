@@ -80,12 +80,6 @@ struct ReadSessionOptions {
   /// reported separately and subtracted from per-stream wall time.
   /// 0 = fetch synchronously (the pre-pipeline behavior).
   uint32_t readahead_depth = 0;
-  /// Evaluate pushed-down predicates and row filters with the typed flat
-  /// kernels (src/columnar/kernels.h) and a deferred SelectionVector, fusing
-  /// filter+project into one gather per block instead of two eager
-  /// Filter() copies plus a Project(). Row-identical to the legacy path;
-  /// ignored by the row-oriented reader (the "before" baseline).
-  bool use_vectorized_kernels = true;
 };
 
 /// One parallel unit of work: a subset of the session's data files.

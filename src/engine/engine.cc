@@ -245,7 +245,7 @@ Result<SelectedBatch> QueryEngine::ExecuteNode(const Principal& principal,
   auto out = ExecuteNodeInner(principal, plan, stats);
   if (out.ok()) {
     // Logical rows: a deferred selection reports its selected count, so
-    // spans and operator-row metrics are identical to the legacy path.
+    // spans and operator-row metrics equal those of a materialized batch.
     span.AddNum("rows_out", out->num_rows());
     obs::MetricsRegistry::Default()
         .GetCounter(METRIC_ENGINE_OPERATOR_ROWS,
@@ -267,27 +267,19 @@ Result<SelectedBatch> QueryEngine::ExecuteNodeInner(const Principal& principal,
     case Plan::Kind::kFilter: {
       BL_ASSIGN_OR_RETURN(SelectedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
-      if (options_.enable_vectorized_kernels) {
-        // Kernel path: evaluate the predicate over the *underlying* batch
-        // (mask values at already-filtered-out rows are simply discarded by
-        // FilterBy) and fold the result into the selection — no column is
-        // copied. CPU is charged on logical rows, same as the legacy path.
-        BL_ASSIGN_OR_RETURN(kernels::BoolVec bv,
-                            kernels::EvaluatePredicate(*plan->filter,
-                                                       in.batch));
-        ChargeCpu(in.num_rows(), stats);
-        std::vector<uint8_t> mask = kernels::BoolVecToMask(bv);
-        SelectionVector sel = in.sel.has_value()
-                                  ? in.sel->FilterBy(mask)
-                                  : SelectionVector::FromMask(mask);
-        kernels::ObserveSelectivity(sel.size(), in.num_rows());
-        return SelectedBatch{std::move(in.batch), std::move(sel)};
-      }
-      RecordBatch batch = MaterializeSelected(std::move(in));
-      BL_ASSIGN_OR_RETURN(Column mask, plan->filter->Evaluate(batch));
-      ChargeCpu(batch.num_rows(), stats);
-      return SelectedBatch{batch.Filter(BoolColumnToMask(mask)),
-                           std::nullopt};
+      // Evaluate the predicate over the *underlying* batch (mask values at
+      // already-filtered-out rows are simply discarded by FilterBy) and fold
+      // the result into the selection — no column is copied. CPU is charged
+      // on logical rows.
+      BL_ASSIGN_OR_RETURN(kernels::BoolVec bv,
+                          kernels::EvaluatePredicate(*plan->filter, in.batch));
+      ChargeCpu(in.num_rows(), stats);
+      std::vector<uint8_t> mask = kernels::BoolVecToMask(bv);
+      SelectionVector sel = in.sel.has_value()
+                                ? in.sel->FilterBy(mask)
+                                : SelectionVector::FromMask(mask);
+      kernels::ObserveSelectivity(sel.size(), in.num_rows());
+      return SelectedBatch{std::move(in.batch), std::move(sel)};
     }
     case Plan::Kind::kProject: {
       BL_ASSIGN_OR_RETURN(SelectedBatch in,
@@ -326,7 +318,8 @@ Result<SelectedBatch> QueryEngine::ExecuteNodeInner(const Principal& principal,
       std::vector<Field> fields;
       std::vector<Column> cols;
       for (size_t i = 0; i < plan->project_exprs.size(); ++i) {
-        BL_ASSIGN_OR_RETURN(Column c, plan->project_exprs[i]->Evaluate(input));
+        BL_ASSIGN_OR_RETURN(
+            Column c, kernels::EvaluateColumn(*plan->project_exprs[i], input));
         BL_ASSIGN_OR_RETURN(
             DataType t, plan->project_exprs[i]->ResultType(*input.schema()));
         fields.push_back({plan->project_names[i], t, true});
@@ -395,7 +388,6 @@ Result<RecordBatch> QueryEngine::ExecuteScan(const Principal& principal,
   opts.caller_location = options_.engine_location;
   opts.use_block_cache = options_.enable_block_cache;
   opts.readahead_depth = options_.readahead_depth;
-  opts.use_vectorized_kernels = options_.enable_vectorized_kernels;
   // Session creation includes all planning-time metadata work (Big Metadata
   // pruning when cached, object-store LIST + footer peeks when not) — it is
   // on the query's critical path.
@@ -565,9 +557,8 @@ Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
                       ExecuteNode(principal, probe_plan, stats));
   const std::vector<uint32_t>* probe_sel =
       probe.sel.has_value() ? &probe.sel->ids() : nullptr;
-  // Logical (selected) row counts everywhere: spans and CPU charges match
-  // the legacy path exactly, whether or not the inputs carry deferred
-  // selections.
+  // Logical (selected) row counts everywhere: spans and CPU charges are the
+  // same whether or not the inputs carry deferred selections.
   obs::AddCurrentSpanNum("build_rows", build.num_rows());
   obs::AddCurrentSpanNum("probe_rows", probe.num_rows());
   uint64_t matches = 0;

@@ -75,11 +75,6 @@ struct EngineOptions {
   /// Per-stream readahead window for the Read API's prefetching pipeline
   /// (ReadSessionOptions::readahead_depth). 0 = synchronous fetch.
   uint32_t readahead_depth = 0;
-  /// Evaluate filters through the SIMD-friendly kernel library
-  /// (columnar/kernels.h) and defer filter materialization with selection
-  /// vectors (columnar/selection.h). Results are row-identical to the legacy
-  /// path; off = per-row boxed evaluation + eager RecordBatch::Filter.
-  bool enable_vectorized_kernels = true;
   /// Serve repeated identical queries from the environment's result cache
   /// (src/cache/result_cache.h), granting it `result_cache_capacity_bytes`
   /// when it is not yet configured. Keys bind principal, plan fingerprint,

@@ -204,7 +204,6 @@ uint64_t EngineKnobFingerprint(const EngineOptions& options) {
                                ? options.max_read_streams
                                : options.num_workers;
   HashU64(&h, streams);
-  HashU64(&h, options.enable_vectorized_kernels ? 1 : 0);
   HashStr(&h, options.engine_location.ToString());
   return h;
 }

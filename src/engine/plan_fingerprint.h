@@ -49,7 +49,7 @@ uint64_t PlanFingerprint(const Plan& plan);
 
 /// Fingerprint of the EngineOptions knobs that shape a query's result rows
 /// or their order (stats-driven planning, DPP, effective stream fan-out,
-/// kernel path, engine location). Excludes num_workers and pure cost knobs.
+/// engine location). Excludes num_workers and pure cost knobs.
 uint64_t EngineKnobFingerprint(const EngineOptions& options);
 
 struct PlanCacheKey {

@@ -1,7 +1,10 @@
 #include "extengine/spark_lite.h"
 
 #include <algorithm>
+#include <optional>
+#include <set>
 
+#include "columnar/kernels.h"
 #include "common/strings.h"
 #include "engine/operators.h"
 #include "format/object_source.h"
@@ -165,9 +168,10 @@ Result<RecordBatch> SparkLiteEngine::ExecuteNode(const Principal& principal,
     case Node::Kind::kFilter: {
       BL_ASSIGN_OR_RETURN(RecordBatch in,
                           ExecuteNode(principal, node->children[0], stats));
-      BL_ASSIGN_OR_RETURN(Column mask, node->predicate->Evaluate(in));
+      BL_ASSIGN_OR_RETURN(kernels::BoolVec mask,
+                          kernels::EvaluatePredicate(*node->predicate, in));
       ChargeCpu(in.num_rows(), stats);
-      return in.Filter(BoolColumnToMask(mask));
+      return in.Filter(kernels::BoolVecToMask(mask));
     }
     case Node::Kind::kSelect: {
       BL_ASSIGN_OR_RETURN(RecordBatch in,
@@ -457,7 +461,17 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
                       store->ListAll(ctx, scan.bucket, scan.prefix));
   stats->direct_list_calls += 1;
   stats->wall_micros += list_timer.ElapsedMicros();  // listing serializes
+  // The predicate may mention columns outside the projection, including
+  // hive partition columns: those are read (or materialized as constant
+  // columns) for the filter, then projected away.
+  std::vector<std::string> pred_cols;
+  if (scan.predicate != nullptr) {
+    std::set<std::string> refs;
+    scan.predicate->CollectColumns(&refs);
+    pred_cols.assign(refs.begin(), refs.end());
+  }
   std::vector<RecordBatch> batches;
+  std::optional<RecordBatch> all_pruned;  // the empty result's shape
   std::vector<SimMicros> file_elapsed;
   for (const ObjectMetadata& obj : listed) {
     SimTimer file_timer(env_->sim());
@@ -469,8 +483,35 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
       if (IsRetryable(meta.status())) return meta.status();
       continue;
     }
-    // Footer-level pruning (the only pruning available without a cache).
     auto partition = ParseHivePartition(obj.name);
+    // Output columns (the projection, else every stored column), then the
+    // predicate's; only the stored ones are read.
+    std::vector<std::string> out_cols = scan.columns;
+    if (out_cols.empty()) {
+      for (const Field& f : meta->schema->fields()) out_cols.push_back(f.name);
+    }
+    std::vector<std::string> wanted = out_cols;
+    for (const std::string& c : pred_cols) {
+      if (std::find(wanted.begin(), wanted.end(), c) == wanted.end()) {
+        wanted.push_back(c);
+      }
+    }
+    std::vector<std::string> read_cols;
+    for (const std::string& c : wanted) {
+      if (meta->schema->FieldIndex(c) >= 0) read_cols.push_back(c);
+    }
+    auto shape = [&](RecordBatch b) -> Result<RecordBatch> {
+      BL_ASSIGN_OR_RETURN(b, AddPartitionColumns(std::move(b), partition,
+                                                 wanted));
+      if (scan.predicate != nullptr) {
+        BL_ASSIGN_OR_RETURN(kernels::BoolVec mask,
+                            kernels::EvaluatePredicate(*scan.predicate, b));
+        b = b.Filter(kernels::BoolVecToMask(mask));
+      }
+      if (wanted == out_cols && read_cols == out_cols) return b;
+      return b.Project(out_cols);
+    };
+    // Footer-level pruning (the only pruning available without a cache).
     if (scan.predicate != nullptr) {
       auto lookup = [&](const std::string& col) -> const ColumnStats* {
         for (const auto& [pcol, pval] : partition) {
@@ -490,19 +531,20 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
       if (scan.predicate->EvaluatePrune(lookup) ==
           PruneResult::kCannotMatch) {
         ++stats->files_pruned;
+        if (!all_pruned.has_value()) {
+          BL_ASSIGN_OR_RETURN(SchemaPtr stored,
+                              meta->schema->Project(read_cols));
+          BL_ASSIGN_OR_RETURN(all_pruned, shape(RecordBatch::Empty(stored)));
+        }
         continue;
       }
     }
     ++stats->files_scanned;
     VectorizedReader reader(&source, *meta);
-    std::vector<std::string> cols = scan.columns;
     for (size_t g = 0; g < reader.num_row_groups(); ++g) {
-      BL_ASSIGN_OR_RETURN(RecordBatch b, reader.ReadRowGroup(g, cols));
+      BL_ASSIGN_OR_RETURN(RecordBatch b, reader.ReadRowGroup(g, read_cols));
       // Spark applies the predicate itself (no trusted enforcement layer).
-      if (scan.predicate != nullptr) {
-        auto mask = scan.predicate->Evaluate(b);
-        if (mask.ok()) b = b.Filter(BoolColumnToMask(*mask));
-      }
+      BL_ASSIGN_OR_RETURN(b, shape(std::move(b)));
       ChargeCpu(b.num_rows() * b.num_columns(), stats);
       batches.push_back(std::move(b));
     }
@@ -515,6 +557,7 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
     stats->wall_micros += file_elapsed[i];
   }
   if (batches.empty()) {
+    if (all_pruned.has_value()) return *std::move(all_pruned);
     return Status::NotFound(
         StrCat("no Parquet-lite files under ", scan.bucket, "/", scan.prefix));
   }

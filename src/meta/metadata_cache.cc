@@ -1,5 +1,6 @@
 #include "meta/metadata_cache.h"
 
+#include <algorithm>
 #include <map>
 
 #include "common/strings.h"
@@ -10,8 +11,6 @@
 #include "obs/trace.h"
 
 namespace biglake {
-
-
 
 std::vector<std::pair<std::string, Value>> ParseHivePartition(
     const std::string& path) {
@@ -30,6 +29,33 @@ std::vector<std::pair<std::string, Value>> ParseHivePartition(
     }
   }
   return partition;
+}
+
+Result<RecordBatch> AddPartitionColumns(
+    RecordBatch batch,
+    const std::vector<std::pair<std::string, Value>>& partition,
+    const std::vector<std::string>& wanted) {
+  std::vector<Field> fields;
+  std::vector<Column> cols;
+  for (const auto& [pcol, pval] : partition) {
+    if (batch.schema()->FieldIndex(pcol) >= 0 ||
+        std::find(wanted.begin(), wanted.end(), pcol) == wanted.end()) {
+      continue;
+    }
+    if (fields.empty()) {
+      fields = batch.schema()->fields();
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        cols.push_back(batch.column(c));
+      }
+    }
+    DataType t = pval.is_int64() ? DataType::kInt64 : DataType::kString;
+    BL_ASSIGN_OR_RETURN(Column constant,
+                        ConstantColumn(t, pval, batch.num_rows()));
+    fields.push_back({pcol, t, false});
+    cols.push_back(std::move(constant));
+  }
+  if (fields.empty()) return batch;
+  return RecordBatch(MakeSchema(std::move(fields)), std::move(cols));
 }
 
 Result<CacheRefreshReport> MetadataCacheManager::Refresh(

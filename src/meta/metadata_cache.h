@@ -56,6 +56,16 @@ struct CacheRefreshReport {
 std::vector<std::pair<std::string, Value>> ParseHivePartition(
     const std::string& path);
 
+/// `batch` plus one constant column per hive partition column that is named
+/// in `wanted` and not stored in the batch, so predicates, row filters and
+/// projections can mention it: every row of a file shares its partition
+/// values. INT64 for integer values, STRING otherwise, appended in partition
+/// order.
+Result<RecordBatch> AddPartitionColumns(
+    RecordBatch batch,
+    const std::vector<std::pair<std::string, Value>>& partition,
+    const std::vector<std::string>& wanted);
+
 class MetadataCacheManager {
  public:
   MetadataCacheManager(SimEnv* env, BigMetadataStore* meta)

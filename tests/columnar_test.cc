@@ -4,6 +4,7 @@
 #include "columnar/column.h"
 #include "columnar/expr.h"
 #include "columnar/ipc.h"
+#include "columnar/kernels.h"
 #include "columnar/types.h"
 #include "common/random.h"
 
@@ -199,29 +200,30 @@ TEST(BatchBuilderTest, RowAppend) {
 
 // ---- Expressions -----------------------------------------------------------
 
+// The expression cases run through the kernels (columnar/kernels.h), the
+// system's one evaluator.
+std::vector<uint8_t> KernelMask(const ExprPtr& e, const RecordBatch& b) {
+  auto r = kernels::EvaluatePredicate(*e, b);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? kernels::BoolVecToMask(*r) : std::vector<uint8_t>();
+}
+
 TEST(ExprTest, CompareInt64Literal) {
   RecordBatch b = TestBatch();
   auto e = Expr::Gt(Expr::Col("id"), Expr::Lit(Value::Int64(2)));
-  auto r = e->Evaluate(b);
-  ASSERT_TRUE(r.ok());
-  auto mask = BoolColumnToMask(*r);
-  EXPECT_EQ(mask, (std::vector<uint8_t>{0, 0, 1, 1}));
+  EXPECT_EQ(KernelMask(e, b), (std::vector<uint8_t>{0, 0, 1, 1}));
 }
 
 TEST(ExprTest, CompareDictStringDirect) {
   RecordBatch b = TestBatch();
   auto e = Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("east")));
-  auto r = e->Evaluate(b);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(BoolColumnToMask(*r), (std::vector<uint8_t>{1, 0, 1, 0}));
+  EXPECT_EQ(KernelMask(e, b), (std::vector<uint8_t>{1, 0, 1, 0}));
 }
 
 TEST(ExprTest, CompareDoubleLiteral) {
   RecordBatch b = TestBatch();
   auto e = Expr::Le(Expr::Col("amount"), Expr::Lit(Value::Double(20.0)));
-  auto r = e->Evaluate(b);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(BoolColumnToMask(*r), (std::vector<uint8_t>{1, 1, 0, 0}));
+  EXPECT_EQ(KernelMask(e, b), (std::vector<uint8_t>{1, 1, 0, 0}));
 }
 
 TEST(ExprTest, RleCompareDirect) {
@@ -230,9 +232,7 @@ TEST(ExprTest, RleCompareDirect) {
   cols.push_back(Column::MakeRunLengthInt64({1, 2, 3}, {2, 2, 2}));
   RecordBatch b(schema, std::move(cols));
   auto e = Expr::Eq(Expr::Col("part"), Expr::Lit(Value::Int64(2)));
-  auto r = e->Evaluate(b);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(BoolColumnToMask(*r), (std::vector<uint8_t>{0, 0, 1, 1, 0, 0}));
+  EXPECT_EQ(KernelMask(e, b), (std::vector<uint8_t>{0, 0, 1, 1, 0, 0}));
 }
 
 TEST(ExprTest, LogicalAndOrNot) {
@@ -241,14 +241,10 @@ TEST(ExprTest, LogicalAndOrNot) {
       Expr::Gt(Expr::Col("id"), Expr::Lit(Value::Int64(1))),
       Expr::Or(Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("west"))),
                Expr::Ge(Expr::Col("amount"), Expr::Lit(Value::Double(40.0)))));
-  auto r = e->Evaluate(b);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(BoolColumnToMask(*r), (std::vector<uint8_t>{0, 1, 0, 1}));
+  EXPECT_EQ(KernelMask(e, b), (std::vector<uint8_t>{0, 1, 0, 1}));
 
   auto n = Expr::Not(Expr::Lt(Expr::Col("id"), Expr::Lit(Value::Int64(3))));
-  auto rn = n->Evaluate(b);
-  ASSERT_TRUE(rn.ok());
-  EXPECT_EQ(BoolColumnToMask(*rn), (std::vector<uint8_t>{0, 0, 1, 1}));
+  EXPECT_EQ(KernelMask(n, b), (std::vector<uint8_t>{0, 0, 1, 1}));
 }
 
 TEST(ExprTest, NullComparisonsExcludedFromMask) {
@@ -257,23 +253,21 @@ TEST(ExprTest, NullComparisonsExcludedFromMask) {
   cols.push_back(Column::MakeInt64({1, 0, 3}, {1, 0, 1}));
   RecordBatch b(schema, std::move(cols));
   auto e = Expr::Gt(Expr::Col("x"), Expr::Lit(Value::Int64(0)));
-  auto r = e->Evaluate(b);
-  ASSERT_TRUE(r.ok());
   // Row 1 is NULL -> excluded, not true.
-  EXPECT_EQ(BoolColumnToMask(*r), (std::vector<uint8_t>{1, 0, 1}));
+  EXPECT_EQ(KernelMask(e, b), (std::vector<uint8_t>{1, 0, 1}));
 }
 
 TEST(ExprTest, Arithmetic) {
   RecordBatch b = TestBatch();
   auto e = Expr::Arith(ArithOp::kMul, Expr::Col("id"),
                        Expr::Lit(Value::Int64(10)));
-  auto r = e->Evaluate(b);
+  auto r = kernels::EvaluateColumn(*e, b);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->GetValue(2), Value::Int64(30));
 
   auto d = Expr::Arith(ArithOp::kDiv, Expr::Col("amount"),
                        Expr::Lit(Value::Double(2.0)));
-  auto rd = d->Evaluate(b);
+  auto rd = kernels::EvaluateColumn(*d, b);
   ASSERT_TRUE(rd.ok());
   EXPECT_EQ(rd->GetValue(1), Value::Double(10.0));
 }
@@ -282,7 +276,7 @@ TEST(ExprTest, DivisionByZeroIsNull) {
   RecordBatch b = TestBatch();
   auto e = Expr::Arith(ArithOp::kDiv, Expr::Col("amount"),
                        Expr::Lit(Value::Double(0.0)));
-  auto r = e->Evaluate(b);
+  auto r = kernels::EvaluateColumn(*e, b);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->GetValue(0).is_null());
 }
@@ -293,14 +287,12 @@ TEST(ExprTest, IsNullAndInList) {
   cols.push_back(Column::MakeInt64({1, 0, 3}, {1, 0, 1}));
   RecordBatch b(schema, std::move(cols));
 
-  auto isnull = Expr::IsNull(Expr::Col("x"))->Evaluate(b);
-  ASSERT_TRUE(isnull.ok());
-  EXPECT_EQ(BoolColumnToMask(*isnull), (std::vector<uint8_t>{0, 1, 0}));
-
-  auto in = Expr::InList(Expr::Col("x"), {Value::Int64(1), Value::Int64(3)})
-                ->Evaluate(b);
-  ASSERT_TRUE(in.ok());
-  EXPECT_EQ(BoolColumnToMask(*in), (std::vector<uint8_t>{1, 0, 1}));
+  EXPECT_EQ(KernelMask(Expr::IsNull(Expr::Col("x")), b),
+            (std::vector<uint8_t>{0, 1, 0}));
+  EXPECT_EQ(KernelMask(Expr::InList(Expr::Col("x"),
+                                    {Value::Int64(1), Value::Int64(3)}),
+                       b),
+            (std::vector<uint8_t>{1, 0, 1}));
 }
 
 TEST(ExprTest, CollectColumns) {

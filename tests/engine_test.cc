@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "columnar/ipc.h"
+#include "columnar/kernels.h"
 #include "core/blmt.h"
 #include "engine/engine.h"
 #include "engine/operators.h"
@@ -320,7 +321,7 @@ TEST_F(EngineTest, MapOperatorTransformsBatch) {
       [](const RecordBatch& in) -> Result<RecordBatch> {
         auto expr = Expr::Arith(ArithOp::kAdd, Expr::Col("id"),
                                 Expr::Lit(Value::Int64(1)));
-        BL_ASSIGN_OR_RETURN(Column c, expr->Evaluate(in));
+        BL_ASSIGN_OR_RETURN(Column c, kernels::EvaluateColumn(*expr, in));
         return RecordBatch(
             MakeSchema({{"id_plus_one", DataType::kInt64, true}}), {c});
       });

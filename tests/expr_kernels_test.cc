@@ -1,9 +1,8 @@
-// Vectorized expression kernels (PR 5): the kernel path must be
-// value-space identical to the legacy Expr::Evaluate path for every
-// expression shape — typed fast paths, encoded-data fast paths, and the
-// per-subtree fallback — and the deferred-selection engine pipeline must
-// return row-identical results with kernels on or off, at any worker
-// count.
+// Expression kernels: the system's one evaluator must be value-space
+// identical to the boxed reference evaluator (reference_eval.h) for every
+// expression shape — typed fast paths, encoded-data fast paths and the
+// generic path — and the deferred-selection engine pipeline must return the
+// rows the reference selects, at any worker count.
 
 #include <gtest/gtest.h>
 
@@ -25,13 +24,14 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "reference_eval.h"
 #include "workload/tpcds_lite.h"
 
 namespace biglake {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Kernel-vs-legacy mask equality
+// Kernel-vs-reference mask equality
 // ---------------------------------------------------------------------------
 
 // One batch exercising every kernel fast path: plain int64 (with and
@@ -65,20 +65,23 @@ RecordBatch MixedBatch() {
   return RecordBatch(schema, std::move(cols));
 }
 
-// Asserts the kernel result is value-space identical to the legacy
+// Asserts the kernel result is value-space identical to the reference
 // evaluator: same null lanes, same boolean values on valid lanes, and the
 // canonical BoolVec invariant (null lanes carry data 0).
-void ExpectKernelMatchesLegacy(const ExprPtr& e, const RecordBatch& batch) {
+void ExpectKernelMatchesReference(const ExprPtr& e, const RecordBatch& batch) {
   SCOPED_TRACE(e->ToString());
-  auto legacy = e->Evaluate(batch);
+  auto ref = ReferencePredicate(*e, batch);
   auto kern = kernels::EvaluatePredicate(*e, batch);
-  ASSERT_EQ(legacy.ok(), kern.ok())
-      << "legacy: " << legacy.status().ToString()
+  ASSERT_EQ(ref.ok(), kern.ok())
+      << "reference: " << ref.status().ToString()
       << " kernel: " << kern.status().ToString();
-  if (!legacy.ok()) return;
+  if (!ref.ok()) {
+    EXPECT_EQ(ref.status().code(), kern.status().code());
+    return;
+  }
   ASSERT_EQ(kern->size(), batch.num_rows());
   for (size_t i = 0; i < batch.num_rows(); ++i) {
-    Value lv = legacy->GetValue(i);
+    Value lv = ref->GetValue(i);
     EXPECT_EQ(lv.is_null(), kern->IsNull(i)) << "row " << i;
     if (!lv.is_null()) {
       EXPECT_EQ(lv.bool_value() ? 1 : 0, kern->data[i]) << "row " << i;
@@ -88,80 +91,179 @@ void ExpectKernelMatchesLegacy(const ExprPtr& e, const RecordBatch& batch) {
   }
 }
 
+// Asserts a projection through the kernels is byte-identical to the
+// reference evaluator's column (same type, values, NULL-lane data and
+// validity-buffer presence).
+void ExpectColumnMatchesReference(const ExprPtr& e, const RecordBatch& batch) {
+  SCOPED_TRACE(e->ToString());
+  auto ref = ReferenceEvaluate(*e, batch);
+  auto kern = kernels::EvaluateColumn(*e, batch);
+  ASSERT_EQ(ref.ok(), kern.ok())
+      << "reference: " << ref.status().ToString()
+      << " kernel: " << kern.status().ToString();
+  if (!ref.ok()) {
+    EXPECT_EQ(ref.status().code(), kern.status().code());
+    return;
+  }
+  auto one = [](const Column& c) {
+    return SerializeBatch(
+        RecordBatch(MakeSchema({{"c", c.type(), true}}), {c}));
+  };
+  EXPECT_EQ(one(*kern), one(*ref));
+  EXPECT_EQ(kern->has_validity(), ref->has_validity());
+  EXPECT_EQ(kern->MemoryBytes(), ref->MemoryBytes());
+}
+
 TEST(ExprKernelsTest, TypedCompareFastPaths) {
   RecordBatch batch = MixedBatch();
   // Column-vs-literal, both operand orders, int64 and double literals.
-  ExpectKernelMatchesLegacy(Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(5))), batch);
-  ExpectKernelMatchesLegacy(Expr::Lt(Expr::Lit(Value::Int64(5)), Expr::Col("qty")), batch);
-  ExpectKernelMatchesLegacy(Expr::Ge(Expr::Col("qty"), Expr::Lit(Value::Double(3.5))), batch);
-  ExpectKernelMatchesLegacy(Expr::Ne(Expr::Col("price"), Expr::Lit(Value::Int64(7))), batch);
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Col("price"), Expr::Lit(Value::Double(4.25))), batch);
+  ExpectKernelMatchesReference(Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(5))), batch);
+  ExpectKernelMatchesReference(Expr::Lt(Expr::Lit(Value::Int64(5)), Expr::Col("qty")), batch);
+  ExpectKernelMatchesReference(Expr::Ge(Expr::Col("qty"), Expr::Lit(Value::Double(3.5))), batch);
+  ExpectKernelMatchesReference(Expr::Ne(Expr::Col("price"), Expr::Lit(Value::Int64(7))), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Col("price"), Expr::Lit(Value::Double(4.25))), batch);
   // Cross-type-class literal: string column vs int literal (constant rank).
-  ExpectKernelMatchesLegacy(Expr::Gt(Expr::Col("name"), Expr::Lit(Value::Int64(3))), batch);
+  ExpectKernelMatchesReference(Expr::Gt(Expr::Col("name"), Expr::Lit(Value::Int64(3))), batch);
   // NULL literal.
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Col("qty"), Expr::Lit(Value::Null())), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Col("qty"), Expr::Lit(Value::Null())), batch);
   // Both-literal.
-  ExpectKernelMatchesLegacy(Expr::Lt(Expr::Lit(Value::Int64(1)), Expr::Lit(Value::Int64(2))), batch);
+  ExpectKernelMatchesReference(Expr::Lt(Expr::Lit(Value::Int64(1)), Expr::Lit(Value::Int64(2))), batch);
   // Plain strings and bools.
-  ExpectKernelMatchesLegacy(Expr::Le(Expr::Col("name"), Expr::Lit(Value::String("fox"))), batch);
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Col("flag"), Expr::Lit(Value::Bool(true))), batch);
-  ExpectKernelMatchesLegacy(Expr::Lt(Expr::Col("flag"), Expr::Lit(Value::Bool(true))), batch);
+  ExpectKernelMatchesReference(Expr::Le(Expr::Col("name"), Expr::Lit(Value::String("fox"))), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Col("flag"), Expr::Lit(Value::Bool(true))), batch);
+  ExpectKernelMatchesReference(Expr::Lt(Expr::Col("flag"), Expr::Lit(Value::Bool(true))), batch);
   // Column-vs-column: same type and mixed numeric.
-  ExpectKernelMatchesLegacy(Expr::Lt(Expr::Col("qty"), Expr::Col("id")), batch);
-  ExpectKernelMatchesLegacy(Expr::Gt(Expr::Col("price"), Expr::Col("qty")), batch);
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Col("name"), Expr::Col("name")), batch);
+  ExpectKernelMatchesReference(Expr::Lt(Expr::Col("qty"), Expr::Col("id")), batch);
+  ExpectKernelMatchesReference(Expr::Gt(Expr::Col("price"), Expr::Col("qty")), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Col("name"), Expr::Col("name")), batch);
 }
 
 TEST(ExprKernelsTest, EncodedDataFastPaths) {
   RecordBatch batch = MixedBatch();
   // Dictionary strings: compare the dictionary once, map indices.
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("west"))), batch);
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Lit(Value::String("west")), Expr::Col("region")), batch);
-  ExpectKernelMatchesLegacy(Expr::Lt(Expr::Col("region"), Expr::Lit(Value::String("north"))), batch);
-  ExpectKernelMatchesLegacy(Expr::Ne(Expr::Col("region"), Expr::Lit(Value::String("absent"))), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("west"))), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Lit(Value::String("west")), Expr::Col("region")), batch);
+  ExpectKernelMatchesReference(Expr::Lt(Expr::Col("region"), Expr::Lit(Value::String("north"))), batch);
+  ExpectKernelMatchesReference(Expr::Ne(Expr::Col("region"), Expr::Lit(Value::String("absent"))), batch);
   // RLE int64: compare per run.
-  ExpectKernelMatchesLegacy(Expr::Eq(Expr::Col("bucket"), Expr::Lit(Value::Int64(200))), batch);
-  ExpectKernelMatchesLegacy(Expr::Ge(Expr::Col("bucket"), Expr::Lit(Value::Double(150.0))), batch);
-  ExpectKernelMatchesLegacy(Expr::Gt(Expr::Lit(Value::Int64(250)), Expr::Col("bucket")), batch);
+  ExpectKernelMatchesReference(Expr::Eq(Expr::Col("bucket"), Expr::Lit(Value::Int64(200))), batch);
+  ExpectKernelMatchesReference(Expr::Ge(Expr::Col("bucket"), Expr::Lit(Value::Double(150.0))), batch);
+  ExpectKernelMatchesReference(Expr::Gt(Expr::Lit(Value::Int64(250)), Expr::Col("bucket")), batch);
 }
 
 TEST(ExprKernelsTest, ArithEdgeCases) {
   RecordBatch batch = MixedBatch();
   auto qty = Expr::Col("qty");
   auto price = Expr::Col("price");
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Gt(Expr::Arith(ArithOp::kMul,
                            Expr::Arith(ArithOp::kAdd, qty, Expr::Lit(Value::Int64(2))),
                            Expr::Lit(Value::Int64(3))),
                Expr::Lit(Value::Int64(12))),
       batch);
   // Division always produces DOUBLE; division by a zero value yields NULL.
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Eq(Expr::Arith(ArithOp::kDiv, qty, Expr::Lit(Value::Int64(0))),
                Expr::Lit(Value::Double(1.0))),
       batch);
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Gt(Expr::Arith(ArithOp::kDiv, price, qty), Expr::Lit(Value::Double(0.5))),
       batch);
   // MOD by zero yields NULL; MOD with a double operand is a type error on
   // both paths.
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Eq(Expr::Arith(ArithOp::kMod, qty, Expr::Lit(Value::Int64(3))),
                Expr::Lit(Value::Int64(0))),
       batch);
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Eq(Expr::Arith(ArithOp::kMod, qty, Expr::Lit(Value::Int64(0))),
                Expr::Lit(Value::Int64(0))),
       batch);
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Eq(Expr::Arith(ArithOp::kMod, price, Expr::Lit(Value::Int64(2))),
                Expr::Lit(Value::Int64(0))),
       batch);
   // Arith-vs-arith comparison (span-vs-span kernel, no Value boxing).
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::Lt(Expr::Arith(ArithOp::kSub, qty, Expr::Lit(Value::Int64(1))),
                Expr::Arith(ArithOp::kAdd, price, Expr::Lit(Value::Double(0.5)))),
       batch);
+
+  // int64 +, - and * wrap in two's complement and x % -1 is 0 (never the
+  // trapping INT64_MIN % -1) — in the span loops, with a scalar operand,
+  // and in constant folding.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  RecordBatch edges(
+      MakeSchema({{"a", DataType::kInt64, true},
+                  {"b", DataType::kInt64, true}}),
+      {Column::MakeInt64({kMax, kMin, kMax, 7, kMin, 5}),
+       Column::MakeInt64({1, -1, 2, -1, 0, 3}, {1, 1, 1, 1, 1, 0})});
+  auto a = Expr::Col("a");
+  auto b = Expr::Col("b");
+  auto lit = [](int64_t v) { return Expr::Lit(Value::Int64(v)); };
+  struct Case {
+    ArithOp op;
+    std::vector<int64_t> want;  // rows 0-4; row 4 is NULL for kMod, row 5 is
+                                // always NULL
+  };
+  for (const Case& c :
+       {Case{ArithOp::kAdd, {kMin, kMax, kMin + 1, 6, kMin}},
+        Case{ArithOp::kSub, {kMax - 1, kMin + 1, kMax - 2, 8, kMin}},
+        Case{ArithOp::kMul, {kMax, kMin, -2, -7, 0}},
+        Case{ArithOp::kMod, {0, 0, 1, 0, 0}}}) {
+    auto e = Expr::Arith(c.op, a, b);
+    SCOPED_TRACE(e->ToString());
+    auto got = kernels::EvaluateColumn(*e, edges);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (size_t i = 0; i < 5; ++i) {
+      if (c.op == ArithOp::kMod && i == 4) {
+        EXPECT_TRUE(got->IsNull(i));  // x % 0
+      } else {
+        EXPECT_EQ(got->GetValue(i), Value::Int64(c.want[i])) << "row " << i;
+      }
+    }
+    EXPECT_TRUE(got->IsNull(5));
+    ExpectColumnMatchesReference(e, edges);
+    ExpectKernelMatchesReference(Expr::Eq(e, lit(0)), edges);
+    // Scalar right operand and constant folding.
+    ExpectColumnMatchesReference(Expr::Arith(c.op, a, lit(-1)), edges);
+    ExpectColumnMatchesReference(Expr::Arith(c.op, lit(kMin), lit(-1)), edges);
+    ExpectColumnMatchesReference(Expr::Arith(c.op, lit(kMax), a), edges);
+  }
+  auto folded = kernels::EvaluateColumn(
+      *Expr::Arith(ArithOp::kMod, lit(kMin), lit(-1)), edges);
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->GetValue(0), Value::Int64(0));
+}
+
+// Arithmetic over a non-numeric operand is an error, never a read of a
+// string column's (absent) int64 buffer.
+TEST(ExprKernelsTest, NonNumericArithmeticIsInvalidArgument) {
+  RecordBatch batch = MixedBatch();
+  auto one = Expr::Lit(Value::Int64(1));
+  for (const ExprPtr& operand :
+       {Expr::Col("region"), Expr::Col("name"), Expr::Col("flag"),
+        Expr::Lit(Value::String("x")), Expr::Lit(Value::Bool(true))}) {
+    auto sum = Expr::Arith(ArithOp::kAdd, operand, one);
+    auto pred = Expr::Gt(sum, Expr::Lit(Value::Int64(3)));
+    auto p = kernels::EvaluatePredicate(*pred, batch);
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument)
+        << pred->ToString();
+    auto c = kernels::EvaluateColumn(*sum, batch);
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument)
+        << sum->ToString();
+    ExpectKernelMatchesReference(pred, batch);
+    ExpectColumnMatchesReference(sum, batch);
+  }
+  // A NULL literal is a numeric operand whose every lane is NULL.
+  ExpectColumnMatchesReference(
+      Expr::Arith(ArithOp::kAdd, Expr::Col("qty"), Expr::Lit(Value::Null())),
+      batch);
+  // A non-BOOL predicate keeps its error.
+  auto not_bool =
+      kernels::EvaluatePredicate(*Expr::Col("qty"), batch);
+  EXPECT_EQ(not_bool.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ExprKernelsTest, ThreeValuedLogic) {
@@ -170,47 +272,47 @@ TEST(ExprKernelsTest, ThreeValuedLogic) {
   auto flag = Expr::Eq(Expr::Col("flag"), Expr::Lit(Value::Bool(true)));
   // NULL propagation through AND/OR: FALSE dominates NULL for AND, TRUE
   // dominates NULL for OR.
-  ExpectKernelMatchesLegacy(Expr::And(small, flag), batch);
-  ExpectKernelMatchesLegacy(Expr::Or(small, flag), batch);
-  ExpectKernelMatchesLegacy(Expr::Not(flag), batch);
-  ExpectKernelMatchesLegacy(Expr::Not(Expr::And(small, Expr::Not(flag))), batch);
+  ExpectKernelMatchesReference(Expr::And(small, flag), batch);
+  ExpectKernelMatchesReference(Expr::Or(small, flag), batch);
+  ExpectKernelMatchesReference(Expr::Not(flag), batch);
+  ExpectKernelMatchesReference(Expr::Not(Expr::And(small, Expr::Not(flag))), batch);
   // IsNull over a nullable column and over an all-valid column.
-  ExpectKernelMatchesLegacy(Expr::IsNull(Expr::Col("qty")), batch);
-  ExpectKernelMatchesLegacy(Expr::IsNull(Expr::Col("id")), batch);
-  ExpectKernelMatchesLegacy(Expr::IsNull(Expr::Arith(
+  ExpectKernelMatchesReference(Expr::IsNull(Expr::Col("qty")), batch);
+  ExpectKernelMatchesReference(Expr::IsNull(Expr::Col("id")), batch);
+  ExpectKernelMatchesReference(Expr::IsNull(Expr::Arith(
       ArithOp::kDiv, Expr::Col("qty"), Expr::Lit(Value::Int64(0)))), batch);
 }
 
 TEST(ExprKernelsTest, InListShapes) {
   RecordBatch batch = MixedBatch();
   // Empty IN-list: all false (never null on valid lanes, matching legacy).
-  ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("qty"), {}), batch);
+  ExpectKernelMatchesReference(Expr::InList(Expr::Col("qty"), {}), batch);
   // Numeric lists, including int/double mixing per Value::Compare.
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::InList(Expr::Col("qty"),
                    {Value::Int64(3), Value::Double(5.0), Value::Int64(9)}),
       batch);
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::InList(Expr::Col("price"), {Value::Int64(7), Value::Double(4.25)}),
       batch);
   // Null item in the list is never equal to anything.
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::InList(Expr::Col("qty"), {Value::Null(), Value::Int64(2)}), batch);
   // String lists over plain and dictionary columns.
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::InList(Expr::Col("name"), {Value::String("bee"), Value::String("kit")}),
       batch);
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::InList(Expr::Col("region"),
                    {Value::String("east"), Value::String("absent")}),
       batch);
   // IN-list over the RLE column (falls back or decodes — must still match).
-  ExpectKernelMatchesLegacy(
+  ExpectKernelMatchesReference(
       Expr::InList(Expr::Col("bucket"), {Value::Int64(100), Value::Int64(300)}),
       batch);
 
   // Long lists resolve once into a typed set (dense bitmap, hash set,
-  // string set); the legacy evaluator stays the oracle.
+  // string set); the reference evaluator is the oracle.
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t k53 = int64_t{1} << 53;
@@ -241,18 +343,13 @@ TEST(ExprKernelsTest, InListShapes) {
     lengths.push_back(len);
     left -= len;
   }
-  // `m` keeps `m + 2` clear of int64 overflow.
-  std::vector<int64_t> small(n);
-  for (size_t i = 0; i < n; ++i) small[i] = ints[i] % 4096;
   RecordBatch wide(MakeSchema({{"v", DataType::kInt64, true},
                                {"w", DataType::kDouble, true},
                                {"s", DataType::kString, true},
-                               {"r", DataType::kInt64, false},
-                               {"m", DataType::kInt64, true}}),
+                               {"r", DataType::kInt64, false}}),
                    {Column::MakeInt64(ints, valid), Column::MakeDouble(dbls),
                     Column::MakeString(strs, valid),
-                    Column::MakeRunLengthInt64(runs, lengths),
-                    Column::MakeInt64(small, valid)});
+                    Column::MakeRunLengthInt64(runs, lengths)});
 
   std::vector<Value> dense, spread, mixed, texts;
   for (int64_t v = -200; v < 2200; v += 2) dense.push_back(Value::Int64(v));
@@ -292,28 +389,29 @@ TEST(ExprKernelsTest, InListShapes) {
   for (const RecordBatch* b : {&wide, &sliced}) {
     for (const auto* items : {&dense, &spread, &mixed}) {
       for (const char* col : {"v", "w", "r"}) {
-        ExpectKernelMatchesLegacy(Expr::InList(Expr::Col(col), *items), *b);
+        ExpectKernelMatchesReference(Expr::InList(Expr::Col(col), *items), *b);
       }
-      ExpectKernelMatchesLegacy(
-          Expr::InList(Expr::Arith(ArithOp::kAdd, Expr::Col("m"),
+      // `v + 2` wraps at INT64_MAX - 1 and INT64_MAX.
+      ExpectKernelMatchesReference(
+          Expr::InList(Expr::Arith(ArithOp::kAdd, Expr::Col("v"),
                                    Expr::Lit(Value::Int64(2))),
                        *items),
           *b);
     }
-    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("s"), texts), *b);
-    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("v"), texts), *b);
+    ExpectKernelMatchesReference(Expr::InList(Expr::Col("s"), texts), *b);
+    ExpectKernelMatchesReference(Expr::InList(Expr::Col("v"), texts), *b);
   }
   // Both sides of the flat-loop / set cutover agree with the oracle.
   for (size_t len : {15u, 16u, 17u, 18u}) {
     std::vector<Value> items(mixed.begin(), mixed.begin() + len);
-    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("v"), items), wide);
-    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("w"), items), wide);
+    ExpectKernelMatchesReference(Expr::InList(Expr::Col("v"), items), wide);
+    ExpectKernelMatchesReference(Expr::InList(Expr::Col("w"), items), wide);
     std::vector<Value> words(texts.begin(), texts.begin() + len);
-    ExpectKernelMatchesLegacy(Expr::InList(Expr::Col("s"), words), wide);
+    ExpectKernelMatchesReference(Expr::InList(Expr::Col("s"), words), wide);
   }
 }
 
-// NaN is the one place the kernels deliberately differ from the legacy
+// NaN is the one place the kernels deliberately differ from the reference
 // evaluator (whose Value::Compare calls NaN equal to every number): a NaN
 // lane or item never matches, on the flat loops and the set alike, and
 // -0.0 equals 0.0.
@@ -335,7 +433,7 @@ TEST(ExprKernelsTest, LongInListNaNAndSignedZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Dictionary compare counting (satellite: BroadcastLiteral blind spot)
+// Dictionary compare counting
 // ---------------------------------------------------------------------------
 
 TEST(ExprKernelsTest, DictCompareTouchesDictionaryNotRows) {
@@ -344,19 +442,14 @@ TEST(ExprKernelsTest, DictCompareTouchesDictionaryNotRows) {
       METRIC_EXPR_DICT_COMPARES);
   auto lit_cmp = Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("west")));
 
-  // Kernel path: one dictionary sweep (3 compares), not one per row.
+  // One dictionary sweep (3 compares), not one per row — in either literal
+  // order.
   uint64_t before = dict_cmp->Value();
   ASSERT_TRUE(kernels::EvaluatePredicate(*lit_cmp, batch).ok());
   EXPECT_EQ(dict_cmp->Value() - before, 3u);
-
-  // Legacy fast path counts the same way — including the mirrored literal
-  // order, which used to fall through to the per-row generic loop.
-  before = dict_cmp->Value();
-  ASSERT_TRUE(lit_cmp->Evaluate(batch).ok());
-  EXPECT_EQ(dict_cmp->Value() - before, 3u);
   auto mirrored = Expr::Eq(Expr::Lit(Value::String("west")), Expr::Col("region"));
   before = dict_cmp->Value();
-  ASSERT_TRUE(mirrored->Evaluate(batch).ok());
+  ASSERT_TRUE(kernels::EvaluatePredicate(*mirrored, batch).ok());
   EXPECT_EQ(dict_cmp->Value() - before, 3u);
 
   // Kernel IN-list over a dictionary column: one sweep per list item.
@@ -394,7 +487,7 @@ TEST(SelectionVectorTest, FromMaskFilterByTruncate) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine parity: kernels on vs off, and worker-count determinism
+// Engine vs reference, and worker-count determinism
 // ---------------------------------------------------------------------------
 
 class ExprKernelsEngineTest : public LakehouseFixture {
@@ -412,85 +505,132 @@ class ExprKernelsEngineTest : public LakehouseFixture {
     return QueryEngine(&lake_, &api_, opts);
   }
 
+  /// The rows of `table` that the reference evaluator selects with `pred`,
+  /// in scan order.
+  RecordBatch ReferenceFilter(const std::string& table, const ExprPtr& pred) {
+    auto scan = MakeEngine().Execute("u", Plan::Scan(table));
+    EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+    if (!scan.ok()) return RecordBatch();
+    auto mask = ReferencePredicate(*pred, scan->batch);
+    EXPECT_TRUE(mask.ok()) << mask.status().ToString();
+    if (!mask.ok()) return RecordBatch();
+    return scan->batch.Filter(ReferenceMask(*mask));
+  }
+
+  /// Executes `plan` and returns its serialized rows ("" on failure).
+  std::string Rows(const PlanPtr& plan) {
+    auto r = MakeEngine().Execute("u", plan);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? SerializeBatch(r->batch) : "";
+  }
+
   StorageReadApi api_;
   BigLakeTableService biglake_;
   BlmtService blmt_;
 };
 
-PlanPtr FilterHeavyPlan() {
-  auto pred = Expr::And(
+ExprPtr FilterHeavyPredicate() {
+  return Expr::And(
       Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(40))),
       Expr::Or(Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("east"))),
                Expr::Gt(Expr::Col("price"), Expr::Lit(Value::Double(55.0)))));
-  return Plan::Project(Plan::Filter(Plan::Scan("ds.sales"), pred),
+}
+
+PlanPtr FilterHeavyPlan() {
+  return Plan::Project(Plan::Filter(Plan::Scan("ds.sales"),
+                                    FilterHeavyPredicate()),
                        {"id", "score"},
                        {Expr::Col("id"),
                         Expr::Arith(ArithOp::kMul, Expr::Col("qty"),
                                     Expr::Lit(Value::Int64(3)))});
 }
 
-TEST_F(ExprKernelsEngineTest, KernelsOnOffRowIdentical) {
+// Every filter shape the engine runs through the kernels returns exactly
+// the rows (bytes) the reference evaluator selects; operators above the
+// filter see those rows through Plan::Values.
+TEST_F(ExprKernelsEngineTest, MatchesReferenceEvaluator) {
   CreateLakeTable("sales", 4, 200);
 
-  std::vector<PlanPtr> plans;
-  plans.push_back(FilterHeavyPlan());
-  // Stacked filters compose selections.
-  plans.push_back(Plan::Filter(
-      Plan::Filter(Plan::Scan("ds.sales"),
-                   Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(60)))),
-      Expr::Ge(Expr::Col("price"), Expr::Lit(Value::Double(10.0)))));
-  // Filter feeding aggregation (selection consumed without materializing).
-  plans.push_back(Plan::Aggregate(
-      Plan::Filter(Plan::Scan("ds.sales"),
-                   Expr::Gt(Expr::Col("qty"), Expr::Lit(Value::Int64(20)))),
-      {"region"},
-      {{AggOp::kCount, "", "n"}, {AggOp::kSum, "price", "total"}}));
-  // Filter feeding order-by + limit.
-  plans.push_back(Plan::Limit(
-      Plan::OrderBy(Plan::Filter(Plan::Scan("ds.sales"),
-                                 Expr::Lt(Expr::Col("qty"),
-                                          Expr::Lit(Value::Int64(15)))),
-                    {{"id", /*descending=*/false}}),
-      7));
-  // Filter with zero survivors.
-  plans.push_back(Plan::Filter(
-      Plan::Scan("ds.sales"),
-      Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(-1)))));
-
-  for (size_t p = 0; p < plans.size(); ++p) {
-    SCOPED_TRACE("plan " + std::to_string(p));
-    EngineOptions on;
-    on.enable_vectorized_kernels = true;
-    EngineOptions off;
-    off.enable_vectorized_kernels = false;
-    auto r_on = MakeEngine(on).Execute("u", plans[p]);
-    auto r_off = MakeEngine(off).Execute("u", plans[p]);
-    ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
-    ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
-    EXPECT_EQ(SerializeBatch(r_on->batch), SerializeBatch(r_off->batch));
-    EXPECT_EQ(r_on->stats.rows_returned, r_off->stats.rows_returned);
+  {
+    SCOPED_TRACE("filter -> project");
+    RecordBatch in = ReferenceFilter("ds.sales", FilterHeavyPredicate());
+    std::vector<Field> fields;
+    std::vector<Column> cols;
+    const PlanPtr plan = FilterHeavyPlan();
+    for (size_t i = 0; i < plan->project_exprs.size(); ++i) {
+      auto c = ReferenceEvaluate(*plan->project_exprs[i], in);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      fields.push_back({plan->project_names[i], c->type(), true});
+      cols.push_back(*c);
+    }
+    EXPECT_EQ(Rows(plan),
+              SerializeBatch(RecordBatch(MakeSchema(std::move(fields)),
+                                         std::move(cols))));
+  }
+  const ExprPtr qty_lt_60 =
+      Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(60)));
+  const ExprPtr price_ge_10 =
+      Expr::Ge(Expr::Col("price"), Expr::Lit(Value::Double(10.0)));
+  {
+    SCOPED_TRACE("stacked filters compose selections");
+    RecordBatch in = ReferenceFilter("ds.sales", Expr::And(qty_lt_60,
+                                                           price_ge_10));
+    EXPECT_EQ(Rows(Plan::Filter(Plan::Filter(Plan::Scan("ds.sales"),
+                                             qty_lt_60),
+                                price_ge_10)),
+              SerializeBatch(in));
+  }
+  {
+    SCOPED_TRACE("filter feeding aggregation");
+    const ExprPtr pred = Expr::Gt(Expr::Col("qty"), Expr::Lit(Value::Int64(20)));
+    auto agg = [](PlanPtr in) {
+      return Plan::Aggregate(
+          std::move(in), {"region"},
+          {{AggOp::kCount, "", "n"}, {AggOp::kSum, "price", "total"}});
+    };
+    EXPECT_EQ(Rows(agg(Plan::Filter(Plan::Scan("ds.sales"), pred))),
+              Rows(agg(Plan::Values(ReferenceFilter("ds.sales", pred)))));
+  }
+  {
+    SCOPED_TRACE("filter feeding order-by + limit");
+    const ExprPtr pred = Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(15)));
+    auto top = [](PlanPtr in) {
+      return Plan::Limit(
+          Plan::OrderBy(std::move(in), {{"id", /*descending=*/false}}), 7);
+    };
+    EXPECT_EQ(Rows(top(Plan::Filter(Plan::Scan("ds.sales"), pred))),
+              Rows(top(Plan::Values(ReferenceFilter("ds.sales", pred)))));
+  }
+  {
+    SCOPED_TRACE("zero survivors");
+    const ExprPtr pred = Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(-1)));
+    RecordBatch in = ReferenceFilter("ds.sales", pred);
+    EXPECT_EQ(in.num_rows(), 0u);
+    EXPECT_EQ(Rows(Plan::Filter(Plan::Scan("ds.sales"), pred)),
+              SerializeBatch(in));
   }
 }
 
 TEST_F(ExprKernelsEngineTest, JoinOverFilteredInputsRowIdentical) {
   CreateLakeTable("facts", 3, 150);
   CreateLakeTable("dims", 1, 60);
+  const ExprPtr dims_pred =
+      Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(50)));
+  const ExprPtr facts_pred =
+      Expr::Gt(Expr::Col("price"), Expr::Lit(Value::Double(20.0)));
   auto plan = Plan::HashJoin(
-      Plan::Filter(Plan::Scan("ds.dims"),
-                   Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(50)))),
-      Plan::Filter(Plan::Scan("ds.facts"),
-                   Expr::Gt(Expr::Col("price"), Expr::Lit(Value::Double(20.0)))),
-      {"region"}, {"region"});
-  EngineOptions on;
-  on.enable_vectorized_kernels = true;
-  EngineOptions off;
-  off.enable_vectorized_kernels = false;
-  auto r_on = MakeEngine(on).Execute("u", plan);
-  auto r_off = MakeEngine(off).Execute("u", plan);
-  ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
-  ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
-  ASSERT_GT(r_on->batch.num_rows(), 0u);
-  EXPECT_EQ(SerializeBatch(r_on->batch), SerializeBatch(r_off->batch));
+      Plan::Filter(Plan::Scan("ds.dims"), dims_pred),
+      Plan::Filter(Plan::Scan("ds.facts"), facts_pred), {"region"},
+      {"region"});
+  // The same join over the reference-filtered inputs.
+  auto reference = Plan::HashJoin(
+      Plan::Values(ReferenceFilter("ds.dims", dims_pred)),
+      Plan::Values(ReferenceFilter("ds.facts", facts_pred)), {"region"},
+      {"region"});
+  auto r = MakeEngine().Execute("u", plan);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_GT(r->batch.num_rows(), 0u);
+  EXPECT_EQ(SerializeBatch(r->batch), Rows(reference));
 }
 
 TEST_F(ExprKernelsEngineTest, SelectionMaterializationIsCountedAndDeferred) {
@@ -501,9 +641,7 @@ TEST_F(ExprKernelsEngineTest, SelectionMaterializationIsCountedAndDeferred) {
       METRIC_EXPR_ROWS_EVALUATED);
   uint64_t mats_before = mats->Value();
   uint64_t rows_before = rows->Value();
-  EngineOptions on;
-  on.enable_vectorized_kernels = true;
-  auto result = MakeEngine(on).Execute("u", FilterHeavyPlan());
+  auto result = MakeEngine().Execute("u", FilterHeavyPlan());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(mats->Value(), mats_before);
   EXPECT_GT(rows->Value(), rows_before);
@@ -515,11 +653,11 @@ TEST_F(ExprKernelsEngineTest, SelectionMaterializationIsCountedAndDeferred) {
                    Expr::Gt(Expr::Col("qty"), Expr::Lit(Value::Int64(50)))),
       {}, {{AggOp::kCount, "", "n"}});
   mats_before = mats->Value();
-  ASSERT_TRUE(MakeEngine(on).Execute("u", agg).ok());
+  ASSERT_TRUE(MakeEngine().Execute("u", agg).ok());
   EXPECT_EQ(mats->Value(), mats_before);
 }
 
-// Worker-count determinism with kernels enabled: independent worlds at 1,
+// Worker-count determinism: independent worlds at 1,
 // 2 and 8 workers must produce byte-identical results with identical
 // simulated costs, and two independent worlds at the same worker count
 // must produce byte-identical simulated-cost profiles (the PR 5
@@ -574,7 +712,6 @@ TEST(ExprKernelsDeterminismTest, WorkerCountsProduceIdenticalResults) {
     DetWorld w(DetScale());
     EngineOptions opts;
     opts.num_workers = workers;
-    opts.enable_vectorized_kernels = true;
     QueryEngine engine(&w.lake, &w.api, opts);
     auto result = engine.Execute("u", DetQuery(w.tables));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -599,7 +736,6 @@ TEST(ExprKernelsDeterminismTest, IndependentRunsProduceIdenticalProfiles) {
   DetWorld w2(DetScale());
   EngineOptions opts;
   opts.num_workers = 8;
-  opts.enable_vectorized_kernels = true;
   QueryEngine e1(&w1.lake, &w1.api, opts);
   QueryEngine e2(&w2.lake, &w2.api, opts);
   for (int round = 0; round < 2; ++round) {

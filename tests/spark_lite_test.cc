@@ -216,6 +216,51 @@ TEST_F(SparkLiteTest, DirectScanPrunesWithFooterStatsOnly) {
   EXPECT_EQ(result->stats.files_pruned, 5u);
 }
 
+// A direct scan applies its whole predicate, even on columns outside the
+// projection or on hive partition columns, and a scan whose every file is
+// pruned returns no rows rather than an error.
+TEST_F(SparkLiteTest, DirectScanAppliesPredicateOnUnreadColumns) {
+  std::string prefix = "dpred/";
+  BuildLake(prefix, 3, 40);  // date=0..2, ids 0..39, 1000..1039, 2000..2039
+  SparkLiteEngine spark = MakeSpark();
+  auto id_lt_10 = Expr::Lt(Expr::Col("id"), Expr::Lit(Value::Int64(10)));
+  auto date_is = [](int64_t d) {
+    return Expr::Eq(Expr::Col("date"), Expr::Lit(Value::Int64(d)));
+  };
+
+  auto projected = spark.ReadParquetDirect(gcp_, "lake", prefix)
+                       .Select({"qty"})
+                       .Filter(id_lt_10)
+                       .Collect("u");
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  EXPECT_EQ(projected->batch.num_rows(), 10u);
+  ASSERT_EQ(projected->batch.num_columns(), 1u);
+  EXPECT_EQ(projected->batch.schema()->field(0).name, "qty");
+
+  auto partition = spark.ReadParquetDirect(gcp_, "lake", prefix)
+                       .Filter(Expr::And(date_is(0), id_lt_10))
+                       .Collect("u");
+  ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+  EXPECT_EQ(partition->batch.num_rows(), 10u);
+  EXPECT_EQ(partition->batch.schema()->FieldIndex("date"), -1);
+
+  auto pruned = spark.ReadParquetDirect(gcp_, "lake", prefix)
+                    .Filter(Expr::And(date_is(1), id_lt_10))
+                    .Collect("u");
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_EQ(pruned->batch.num_rows(), 0u);
+  EXPECT_EQ(pruned->stats.files_pruned, 3u);
+  EXPECT_EQ(pruned->batch.num_columns(), SalesSchema()->num_fields());
+
+  // A predicate that cannot be evaluated is an error, not a no-op.
+  auto bad = spark.ReadParquetDirect(gcp_, "lake", prefix)
+                 .Filter(Expr::Gt(Expr::Arith(ArithOp::kAdd, Expr::Col("region"),
+                                              Expr::Lit(Value::Int64(1))),
+                                  Expr::Lit(Value::Int64(3))))
+                 .Collect("u");
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(SparkLiteTest, DirectScanErrorsWithoutFiles) {
   SparkLiteEngine spark = MakeSpark();
   EXPECT_FALSE(

@@ -233,6 +233,18 @@ TEST_F(SqlExecutionTest, ProjectionExpression) {
   }
 }
 
+// Arithmetic over a string column is a type error, in a predicate and in a
+// projection.
+TEST_F(SqlExecutionTest, StringArithmeticIsInvalidArgument) {
+  for (const char* sql : {"SELECT id FROM ds.sales WHERE region + 1 > 3",
+                          "SELECT region * 2 AS r2 FROM ds.sales"}) {
+    auto plan = ParseSql(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto result = engine_.Execute("user:sql", *plan);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+}
+
 TEST_F(SqlExecutionTest, Listing3ShapeJoin) {
   // A second table to join against.
   TableDef dim = MakeBigLakeDef("regions", "regions/");
