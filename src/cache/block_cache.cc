@@ -121,34 +121,37 @@ void BlockCache::CountMiss(bool footer) {
       footer ? "blockcache.footer_misses" : "blockcache.misses", 1);
 }
 
-std::shared_ptr<const RecordBatch> BlockCache::GetBlock(
-    const std::string& key) {
+std::shared_ptr<const RecordBatch> BlockCache::PeekBlock(
+    const std::string& key, bool* pending) {
   if (!enabled()) return nullptr;
   if (CacheTxn* txn = internal::CurrentTxn()) {
     auto pit = txn->pending_.find(key);
-    if (pit != txn->pending_.end()) {
-      const CacheTxn::Op& op = txn->ops_[pit->second];
-      if (op.block != nullptr) {
-        CountHit(/*footer=*/false);
-        RecordAccess(key);
-        return op.block;
-      }
+    if (pit != txn->pending_.end() &&
+        txn->ops_[pit->second].block != nullptr) {
+      if (pending != nullptr) *pending = true;
+      return txn->ops_[pit->second].block;
     }
   }
-  std::shared_ptr<const RecordBatch> found;
-  {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) found = it->second.block;
-  }
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.entries.find(key);
+  return it == shard.entries.end() ? nullptr : it->second.block;
+}
+
+std::shared_ptr<const RecordBatch> BlockCache::GetBlock(
+    const std::string& key) {
+  if (!enabled()) return nullptr;
+  bool pending = false;
+  std::shared_ptr<const RecordBatch> found = PeekBlock(key, &pending);
   if (found == nullptr) {
     CountMiss(/*footer=*/false);
     RecordAccess(key);
     return nullptr;
   }
   CountHit(/*footer=*/false);
-  if (CacheTxn* txn = internal::CurrentTxn()) {
+  if (pending) {
+    RecordAccess(key);
+  } else if (CacheTxn* txn = internal::CurrentTxn()) {
     txn->ops_.push_back({key, nullptr, nullptr, 0});  // buffered LRU touch
   } else {
     ApplyTouch(key);

@@ -182,6 +182,11 @@ class BlockCache {
   /// bumps miss counters and returns nullptr.
   std::shared_ptr<const RecordBatch> GetBlock(const std::string& key);
   std::shared_ptr<const ParquetFileMeta> GetFooter(const std::string& key);
+  /// GetBlock without side effects: no counters, no access record, no LRU
+  /// touch. `*pending` (optional) is set when the block is an admission
+  /// still buffered in the installed CacheTxn.
+  std::shared_ptr<const RecordBatch> PeekBlock(const std::string& key,
+                                               bool* pending = nullptr);
 
   /// Admit a fully-read block / footer. Buffered when a CacheTxn is
   /// installed; applied (with eviction) immediately otherwise.

@@ -60,6 +60,91 @@ Field MaskedField(const Field& field,
   return out;
 }
 
+/// What a caller may see of column `idx` of `batch` (at `sel` when given):
+/// the masked values when the column is masked for them, else the column.
+std::pair<Field, Column> SecuredColumn(
+    const RecordBatch& batch, size_t idx,
+    const std::map<std::string, MaskType>& masks,
+    const std::vector<uint32_t>* sel) {
+  const Field& f = batch.schema()->field(idx);
+  auto mit = masks.find(f.name);
+  const size_t rows = sel != nullptr ? sel->size() : batch.num_rows();
+  if (mit != masks.end() && mit->second == MaskType::kNullify) {
+    // Fully-masked column: NULLs directly, never gather the rows we would
+    // immediately throw away.
+    return {MaskedField(f, masks), Column::MakeNull(f.type, rows)};
+  }
+  Column col = sel != nullptr ? batch.column(idx).Gather(*sel)
+                              : batch.column(idx);
+  if (mit == masks.end()) return {f, std::move(col)};
+  return {MaskedField(f, masks), ApplyMask(col, mit->second)};
+}
+
+/// `batch` with every column in `cols` replaced by its masked values, so a
+/// predicate over it filters what the caller may see, never raw values.
+RecordBatch MaskedView(const RecordBatch& batch,
+                       const std::set<std::string>& cols,
+                       const std::map<std::string, MaskType>& masks) {
+  std::vector<Field> fields;
+  std::vector<Column> columns;
+  for (size_t i = 0; i < batch.num_columns(); ++i) {
+    if (cols.count(batch.schema()->field(i).name) == 0) {
+      fields.push_back(batch.schema()->field(i));
+      columns.push_back(batch.column(i));
+      continue;
+    }
+    auto [f, col] = SecuredColumn(batch, i, masks, nullptr);
+    fields.push_back(std::move(f));
+    columns.push_back(std::move(col));
+  }
+  return RecordBatch(MakeSchema(std::move(fields)), std::move(columns));
+}
+
+/// The conjuncts of `predicate` that touch no masked column, ANDed; the
+/// only part whose raw min/max statistics may prune files or row groups.
+/// (Stats of a masked column describe raw values: `email IS NULL` under a
+/// nullify mask matches every row although no raw value is NULL.)
+ExprPtr PrunablePart(const ExprPtr& predicate,
+                     const std::map<std::string, MaskType>& masks) {
+  if (predicate == nullptr || masks.empty()) return predicate;
+  std::vector<ExprPtr> conjuncts = {predicate};
+  ExprPtr out;
+  while (!conjuncts.empty()) {
+    ExprPtr e = std::move(conjuncts.back());
+    conjuncts.pop_back();
+    if (e->kind() == Expr::Kind::kLogical &&
+        e->logical_op() == LogicalOp::kAnd) {
+      // Right child first onto the stack, so conjuncts pop left to right.
+      for (auto it = e->children().rbegin(); it != e->children().rend();
+           ++it) {
+        conjuncts.push_back(*it);
+      }
+      continue;
+    }
+    std::set<std::string> refs;
+    e->CollectColumns(&refs);
+    if (std::any_of(refs.begin(), refs.end(), [&](const std::string& c) {
+          return masks.count(c) > 0;
+        })) {
+      continue;
+    }
+    out = out == nullptr ? e : Expr::And(out, e);
+  }
+  return out;
+}
+
+/// The predicate's columns that are masked for the caller.
+std::set<std::string> MaskedRefs(const ExprPtr& predicate,
+                                 const std::map<std::string, MaskType>& masks) {
+  std::set<std::string> out;
+  if (predicate == nullptr) return out;
+  predicate->CollectColumns(&out);
+  for (auto it = out.begin(); it != out.end();) {
+    it = masks.count(*it) > 0 ? std::next(it) : out.erase(it);
+  }
+  return out;
+}
+
 /// Approximate resident bytes of a parsed footer (schema + per-chunk
 /// metadata), for cache capacity accounting.
 uint64_t FooterFootprint(const ParquetFileMeta& meta) {
@@ -211,14 +296,24 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
       requested.push_back(f.name);
     }
   }
+  // A predicate reads its columns too: a denied one fails the session, a
+  // masked one filters on masked values (see MaskedView).
+  std::set<std::string> predicate_cols;
+  if (options.predicate != nullptr) {
+    options.predicate->CollectColumns(&predicate_cols);
+  }
+  std::vector<std::string> governed = requested;
+  for (const std::string& c : predicate_cols) {
+    if (std::find(governed.begin(), governed.end(), c) == governed.end()) {
+      governed.push_back(c);
+    }
+  }
   BL_ASSIGN_OR_RETURN(EffectiveAccess access,
-                      ResolveAccess(table->policy, principal, requested));
+                      ResolveAccess(table->policy, principal, governed));
 
   // Server-side scan columns: requested + predicate + row-filter columns.
   std::set<std::string> scan_cols(requested.begin(), requested.end());
-  if (options.predicate != nullptr) {
-    options.predicate->CollectColumns(&scan_cols);
-  }
+  scan_cols.insert(predicate_cols.begin(), predicate_cols.end());
   if (access.row_filter != nullptr) {
     access.row_filter->CollectColumns(&scan_cols);
   }
@@ -262,10 +357,12 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
                              : options.snapshot_txn;
 
   // Collect + prune files, then shard into streams.
+  const ExprPtr prune_predicate =
+      PrunablePart(options.predicate, access.masked_columns);
   uint64_t files_total = 0;
   BL_ASSIGN_OR_RETURN(
       PrunedFiles pruned,
-      CollectFiles(*table, credential, options.predicate,
+      CollectFiles(*table, credential, prune_predicate,
                    table->kind == TableKind::kManaged ||
                            table->kind == TableKind::kBigLakeManaged ||
                            table->metadata_cache_enabled
@@ -311,10 +408,17 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
 
   SessionState state;
   state.options = options;
+  state.principal = principal;
   state.table = table;
   state.credential = credential;
   state.access = access;
+  state.prune_predicate = prune_predicate;
+  state.masked_predicate_cols =
+      MaskedRefs(options.predicate, access.masked_columns);
   state.read_columns.assign(scan_cols.begin(), scan_cols.end());
+  std::vector<std::string> all_columns;
+  for (const Field& f : table->schema->fields()) all_columns.push_back(f.name);
+  state.full_projection_fp = cache::ProjectionFingerprint(all_columns);
   state.overlap_saved.assign(session.streams.size(), 0);
   sessions_[session.session_id] = std::move(state);
 
@@ -340,7 +444,8 @@ Result<ReadSession> StorageReadApi::RefineSession(
   }
   const SessionState& base = sit->second;
   const TableDef& table = *base.table;
-  // Validate the new predicate's columns.
+  // Validate the new predicate's columns and govern them like
+  // CreateReadSession does.
   std::set<std::string> extra_cols;
   extra_predicate->CollectColumns(&extra_cols);
   for (const auto& name : extra_cols) {
@@ -353,6 +458,15 @@ Result<ReadSession> StorageReadApi::RefineSession(
           StrCat("no column `", name, "` in table `", table.id(), "`"));
     }
   }
+  BL_ASSIGN_OR_RETURN(
+      EffectiveAccess extra_access,
+      ResolveAccess(table.policy, base.principal,
+                    std::vector<std::string>(extra_cols.begin(),
+                                             extra_cols.end())));
+  std::map<std::string, MaskType> masks = base.access.masked_columns;
+  masks.insert(extra_access.masked_columns.begin(),
+               extra_access.masked_columns.end());
+  const ExprPtr extra_prunable = PrunablePart(extra_predicate, masks);
   obs::ScopedSpan span("readapi:refine_session", obs::Span::kRpc);
   span.SetAttr("table", table.id());
   obs::MetricsRegistry::Default()
@@ -382,8 +496,9 @@ Result<ReadSession> StorageReadApi::RefineSession(
         auto cit = f.file.column_stats.find(col);
         return cit == f.file.column_stats.end() ? nullptr : &cit->second;
       };
-      if (extra_predicate->EvaluatePrune(lookup) ==
-          PruneResult::kCannotMatch) {
+      if (extra_prunable != nullptr &&
+          extra_prunable->EvaluatePrune(lookup) ==
+              PruneResult::kCannotMatch) {
         ++pruned_count;
         continue;
       }
@@ -401,6 +516,11 @@ Result<ReadSession> StorageReadApi::RefineSession(
       state.options.predicate == nullptr
           ? extra_predicate
           : Expr::And(state.options.predicate, extra_predicate);
+  state.access.masked_columns = std::move(masks);
+  state.prune_predicate =
+      PrunablePart(state.options.predicate, state.access.masked_columns);
+  state.masked_predicate_cols =
+      MaskedRefs(state.options.predicate, state.access.masked_columns);
   for (const auto& c : extra_cols) {
     if (std::find(state.read_columns.begin(), state.read_columns.end(), c) ==
         state.read_columns.end()) {
@@ -511,14 +631,14 @@ Result<StorageReadApi::FileBlocks> StorageReadApi::FetchFileBlocks(
   }
   for (size_t g = 0; g < meta->row_groups.size(); ++g) {
     // Row-group level pruning from footer stats.
-    if (state.options.predicate != nullptr) {
+    if (state.prune_predicate != nullptr) {
       const RowGroupMeta& rg = meta->row_groups[g];
       auto lookup = [&](const std::string& col) -> const ColumnStats* {
         int idx = meta->schema->FieldIndex(col);
         if (idx < 0) return nullptr;
         return &rg.columns[static_cast<size_t>(idx)].stats;
       };
-      if (state.options.predicate->EvaluatePrune(lookup) ==
+      if (state.prune_predicate->EvaluatePrune(lookup) ==
           PruneResult::kCannotMatch) {
         continue;
       }
@@ -550,6 +670,22 @@ Result<StorageReadApi::FileBlocks> StorageReadApi::FetchFileBlocks(
         ++out.cache_hits;
       } else {
         ++out.cache_misses;
+      }
+    }
+    if (block == nullptr && cache != nullptr &&
+        projection_fp != state.full_projection_fp) {
+      // A scan of every column may have left this row group resident:
+      // serve the narrower projection as a zero-copy view of it instead of
+      // decoding, and caching, the same values a second time.
+      std::shared_ptr<const RecordBatch> full = cache->PeekBlock(
+          cache::BlockKey(obj_prefix, fm.generation, g,
+                          state.full_projection_fp));
+      if (full != nullptr) {
+        auto view = full->Project(cols_present);
+        if (view.ok()) {
+          block = std::make_shared<const RecordBatch>(std::move(*view));
+          if (fm.generation != 0) cache->PutBlock(block_key, block);
+        }
       }
     }
     if (block == nullptr) {
@@ -662,7 +798,12 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
         if (state.options.predicate != nullptr) {
           BL_ASSIGN_OR_RETURN(
               kernels::BoolVec bv,
-              kernels::EvaluatePredicate(*state.options.predicate, batch));
+              kernels::EvaluatePredicate(
+                  *state.options.predicate,
+                  state.masked_predicate_cols.empty()
+                      ? batch
+                      : MaskedView(batch, state.masked_predicate_cols,
+                                   state.access.masked_columns)));
           mask = kernels::BoolVecToMask(bv);
         }
         // Security row filter — enforced here, inside the trust boundary.
@@ -681,32 +822,17 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
         kernels::ObserveSelectivity(sel->size(), batch.num_rows());
         if (sel->empty()) continue;
       }
-      const size_t out_rows = sel.has_value() ? sel->size() : batch.num_rows();
       std::vector<Field> out_fields;
       std::vector<Column> out_cols;
       out_fields.reserve(available.size());
       out_cols.reserve(available.size());
       for (const auto& name : available) {
-        size_t idx = static_cast<size_t>(batch.schema()->FieldIndex(name));
-        const Field& f = batch.schema()->field(idx);
-        auto mit = state.access.masked_columns.find(f.name);
-        if (mit != state.access.masked_columns.end() &&
-            mit->second == MaskType::kNullify) {
-          // Fully-masked column: emit NULLs directly, never gather the
-          // rows we would immediately throw away.
-          out_cols.push_back(Column::MakeNull(f.type, out_rows));
-          out_fields.push_back(MaskedField(f, state.access.masked_columns));
-          continue;
-        }
-        Column col = sel.has_value() ? batch.column(idx).Gather(sel->ids())
-                                     : batch.column(idx);
-        if (mit == state.access.masked_columns.end()) {
-          out_cols.push_back(std::move(col));
-          out_fields.push_back(f);
-        } else {
-          out_cols.push_back(ApplyMask(col, mit->second));
-          out_fields.push_back(MaskedField(f, state.access.masked_columns));
-        }
+        auto [f, col] = SecuredColumn(
+            batch, static_cast<size_t>(batch.schema()->FieldIndex(name)),
+            state.access.masked_columns,
+            sel.has_value() ? &sel->ids() : nullptr);
+        out_fields.push_back(std::move(f));
+        out_cols.push_back(std::move(col));
       }
       if (sel.has_value() && !out_cols.empty()) {
         kernels::CountSelectionMaterialization();

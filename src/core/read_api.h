@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -178,10 +179,22 @@ class StorageReadApi {
  private:
   struct SessionState {
     ReadSessionOptions options;
+    Principal principal;
     const TableDef* table = nullptr;
     Credential credential;       // delegated, scoped to the table prefix
-    EffectiveAccess access;      // resolved fine-grained policy
+    /// Resolved fine-grained policy over the requested and the predicate's
+    /// columns.
+    EffectiveAccess access;
+    /// The predicate's conjuncts that touch no masked column: the only part
+    /// raw file and row-group statistics may prune with.
+    ExprPtr prune_predicate;
+    /// The predicate's masked columns; the predicate sees their masked
+    /// values, so it never filters on what the caller may not read.
+    std::set<std::string> masked_predicate_cols;
     std::vector<std::string> read_columns;  // pre-mask projection
+    /// Block-cache projection key of a scan reading every table column; a
+    /// narrower projection is served as a view of that block when resident.
+    uint64_t full_projection_fp = 0;
     /// Per-stream overlap (see StreamOverlapSaved); slot s is written only
     /// by the task reading stream s.
     std::vector<SimMicros> overlap_saved;

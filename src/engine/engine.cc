@@ -8,6 +8,7 @@
 #include "columnar/kernels.h"
 #include "common/strings.h"
 #include "engine/operators.h"
+#include "engine/optimizer.h"
 #include "engine/plan_fingerprint.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -102,11 +103,14 @@ uint64_t QueryEngine::EstimateRows(const PlanPtr& plan) {
 }
 
 Result<QueryResult> QueryEngine::Execute(const Principal& principal,
-                                         const PlanPtr& plan,
+                                         const PlanPtr& input_plan,
                                          obs::QueryProfile* profile,
                                          const CancelToken* cancel,
                                          const meta::TxnSnapshot* snapshot) {
-  if (plan == nullptr) return Status::InvalidArgument("null plan");
+  if (input_plan == nullptr) return Status::InvalidArgument("null plan");
+  // Everything below — the result-cache key, build-side selection, DPP and
+  // execution — sees only the rewritten plan (engine/optimizer.h).
+  const PlanPtr plan = OptimizePlan(env_->catalog(), input_plan);
   // A fresh query must not inherit fractional CPU micros carried over from a
   // previous query on a reused engine — that made repeated identical queries
   // charge slightly different amounts depending on session history.
@@ -492,38 +496,6 @@ Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
         .GetCounter(METRIC_ENGINE_BUILD_SIDE_SWAPS)
         ->Increment();
   }
-
-  // Scan children must surface their join keys even when a key is a hive
-  // partition column that is not stored in the data files (the Read API
-  // serves those as virtual columns when explicitly requested).
-  auto ensure_keys = [this](const PlanPtr& p,
-                            const std::vector<std::string>& keys) -> PlanPtr {
-    if (p->kind != Plan::Kind::kScan) return p;
-    auto table = env_->catalog().GetTable(p->table_id);
-    if (!table.ok()) return p;
-    std::vector<std::string> cols = p->scan_columns;
-    if (cols.empty()) {
-      bool any_missing = false;
-      for (const auto& k : keys) {
-        if ((*table)->schema->FieldIndex(k) < 0) any_missing = true;
-      }
-      if (!any_missing) return p;
-      for (const Field& f : (*table)->schema->fields()) {
-        cols.push_back(f.name);
-      }
-    }
-    bool changed = false;
-    for (const auto& k : keys) {
-      if (std::find(cols.begin(), cols.end(), k) == cols.end()) {
-        cols.push_back(k);
-        changed = true;
-      }
-    }
-    if (!changed && !p->scan_columns.empty()) return p;
-    return Plan::Scan(p->table_id, std::move(cols), p->scan_predicate);
-  };
-  build_plan = ensure_keys(build_plan, build_keys);
-  probe_plan = ensure_keys(probe_plan, probe_keys);
 
   BL_ASSIGN_OR_RETURN(SelectedBatch build,
                       ExecuteNode(principal, build_plan, stats));

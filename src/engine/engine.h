@@ -5,6 +5,10 @@
 //   * In-situ scans: every scan goes through the Storage Read API, so the
 //     engine is subject to the same delegated access + fine-grained
 //     governance as any external engine (Sec 3.2).
+//   * A logical rewrite first (engine/optimizer.h): WHERE conjuncts sink
+//     below joins into scan predicates and every scan requests only the
+//     columns the query uses, so the Read API prunes files and decodes only
+//     what is needed (Sec 3.2). It runs on SQL and plan-built queries alike.
 //   * Statistics-driven optimization (Sec 3.3/3.4): table statistics from
 //     CreateReadSession drive hash-join build-side selection, and *dynamic
 //     partition pruning* pushes the distinct join keys of a small (filtered)

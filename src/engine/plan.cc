@@ -90,6 +90,9 @@ std::string Plan::ToString(int indent) const {
   switch (kind) {
     case Kind::kScan:
       out += StrCat("Scan(", table_id,
+                    scan_columns.empty()
+                        ? ""
+                        : ", cols=[" + Join(scan_columns, ",") + "]",
                     scan_predicate ? ", pred=" + scan_predicate->ToString()
                                    : "",
                     ")");

@@ -169,7 +169,6 @@ class Parser {
 
     // FROM + JOIN chain.
     BL_ASSIGN_OR_RETURN(PlanPtr plan, ParseTableRef());
-    int table_count = 1;
     while (MatchKeyword("JOIN") || MatchKeyword("INNER")) {
       if (Prev().text == "INNER") {
         BL_RETURN_NOT_OK(ExpectKeyword("JOIN"));
@@ -186,20 +185,13 @@ class Parser {
       } while (MatchKeyword("AND"));
       plan = Plan::HashJoin(std::move(plan), std::move(right),
                             std::move(left_keys), std::move(right_keys));
-      ++table_count;
     }
 
-    // WHERE: push into the scan when there is exactly one table.
+    // WHERE stays a Filter: the optimizer (engine/optimizer.h) is the one
+    // place conjuncts are pushed into scans, for SQL and plans alike.
     if (MatchKeyword("WHERE")) {
       BL_ASSIGN_OR_RETURN(ExprPtr predicate, ParseExpr());
-      if (table_count == 1 && plan->kind == Plan::Kind::kScan) {
-        plan = Plan::Scan(plan->table_id, plan->scan_columns,
-                          plan->scan_predicate == nullptr
-                              ? predicate
-                              : Expr::And(plan->scan_predicate, predicate));
-      } else {
-        plan = Plan::Filter(std::move(plan), std::move(predicate));
-      }
+      plan = Plan::Filter(std::move(plan), std::move(predicate));
     }
 
     // GROUP BY / aggregates.

@@ -15,10 +15,10 @@
 // 'strings', TRUE/FALSE/NULL), and (qualified) column references.
 // Aggregates: COUNT(*) / COUNT(x) / SUM / MIN / MAX / AVG.
 //
-// Single-table WHERE clauses become scan predicates (pushdown); the engine
-// then prunes files via Big Metadata. Multi-table filters sit above the
-// join. Table aliases are accepted and stripped from column references
-// (batches carry bare column names).
+// WHERE becomes a Filter above the FROM/JOIN tree; the engine's optimizer
+// (engine/optimizer.h) pushes its conjuncts into the scans, where Big
+// Metadata prunes files. Table aliases are accepted and stripped from column
+// references (batches carry bare column names).
 
 #ifndef BIGLAKE_ENGINE_SQL_PARSER_H_
 #define BIGLAKE_ENGINE_SQL_PARSER_H_

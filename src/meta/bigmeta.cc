@@ -93,23 +93,31 @@ Result<uint64_t> BigMetadataStore::SwapFiles(
   return txn.Commit();
 }
 
-void BigMetadataStore::ApplyRecord(std::vector<CachedFileMeta>* files,
-                                   const LogRecord& rec) {
-  if (!rec.removes.empty()) {
-    std::set<std::string> removed(rec.removes.begin(), rec.removes.end());
-    files->erase(std::remove_if(files->begin(), files->end(),
-                                [&](const CachedFileMeta& f) {
-                                  return removed.count(f.file.path) > 0;
-                                }),
-                 files->end());
-  }
-  for (const auto& f : rec.adds) files->push_back(f);
+void BigMetadataStore::RemovePaths(std::vector<CachedFileMeta>* files,
+                                   const std::vector<std::string>& paths) {
+  if (paths.empty()) return;
+  std::set<std::string> removed(paths.begin(), paths.end());
+  files->erase(std::remove_if(files->begin(), files->end(),
+                              [&](const CachedFileMeta& f) {
+                                return removed.count(f.file.path) > 0;
+                              }),
+               files->end());
 }
 
-void BigMetadataStore::MaybeCompact(TableState* table) {
-  if (table->tail.size() < options_.compaction_threshold) return;
-  for (const LogRecord& rec : table->tail) {
-    ApplyRecord(&table->baseline, rec);
+void BigMetadataStore::ApplyRecord(std::vector<CachedFileMeta>* files,
+                                   const LogRecord& rec) {
+  RemovePaths(files, rec.removes);
+  files->insert(files->end(), rec.adds.begin(), rec.adds.end());
+}
+
+void BigMetadataStore::FoldTail(TableState* table) {
+  // The folded records are dropped right after, so their file metadata
+  // moves into the baseline instead of being deep-copied.
+  for (LogRecord& rec : table->tail) {
+    RemovePaths(&table->baseline, rec.removes);
+    table->baseline.insert(table->baseline.end(),
+                           std::make_move_iterator(rec.adds.begin()),
+                           std::make_move_iterator(rec.adds.end()));
     table->baseline_txn = rec.txn;
   }
   env_->Charge("bigmeta.compactions",
@@ -117,6 +125,11 @@ void BigMetadataStore::MaybeCompact(TableState* table) {
                                       static_cast<double>(
                                           table->baseline.size() + 1)));
   table->tail.clear();
+}
+
+void BigMetadataStore::MaybeCompact(TableState* table) {
+  if (table->tail.size() < options_.compaction_threshold) return;
+  FoldTail(table);
 }
 
 Result<std::vector<CachedFileMeta>> BigMetadataStore::Snapshot(
@@ -267,16 +280,7 @@ Status BigMetadataStore::Compact(const std::string& table_id) {
   if (it == tables_.end()) {
     return Status::NotFound(StrCat("no metadata table `", table_id, "`"));
   }
-  TableState& table = it->second;
-  for (const LogRecord& rec : table.tail) {
-    ApplyRecord(&table.baseline, rec);
-    table.baseline_txn = rec.txn;
-  }
-  env_->Charge("bigmeta.compactions",
-               static_cast<SimMicros>(options_.compaction_micros_per_file *
-                                      static_cast<double>(
-                                          table.baseline.size() + 1)));
-  table.tail.clear();
+  FoldTail(&it->second);
   return Status::OK();
 }
 

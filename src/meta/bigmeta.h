@@ -198,6 +198,11 @@ class BigMetadataStore {
   Result<uint64_t> CommitOps(
       std::map<std::string, MetaTransaction::TableOps> ops);
   void MaybeCompact(TableState* table);
+  /// Folds the whole tail into the baseline (moving, not copying, its file
+  /// metadata) and charges the compaction.
+  void FoldTail(TableState* table);
+  static void RemovePaths(std::vector<CachedFileMeta>* files,
+                          const std::vector<std::string>& paths);
   static void ApplyRecord(std::vector<CachedFileMeta>* files,
                           const LogRecord& rec);
 

@@ -257,6 +257,35 @@ TEST_F(BlockCacheScanTest, WarmScanHitsAndMatchesColdBitForBit) {
   EXPECT_LT(warm->stats.total_micros, cold->stats.total_micros);
 }
 
+// A pruned scan after a full scan reads no object and decodes nothing: its
+// blocks are admitted as column views of the resident full-width blocks.
+TEST_F(BlockCacheScanTest, NarrowProjectionIsServedAsViewOfFullBlock) {
+  BuildLake("view/", 3, 150);
+  ASSERT_TRUE(
+      biglake_.CreateBigLakeTable(MakeBigLakeDef("view", "view/")).ok());
+  QueryEngine engine(&lake_, &api_, CachedOptions());
+  ASSERT_TRUE(engine.Execute("u", Plan::Scan("ds.view")).ok());
+  const cache::BlockCacheStats after_full = lake_.block_cache().Stats();
+
+  const PlanPtr narrow = Plan::Project(
+      Plan::Scan("ds.view"), {"id", "price"},
+      {Expr::Col("id"), Expr::Col("price")});
+  const uint64_t gets = lake_.sim().counters().Get("objstore.get_calls");
+  auto got = engine.Execute("u", narrow);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(lake_.sim().counters().Get("objstore.get_calls"), gets);
+  const cache::BlockCacheStats after_narrow = lake_.block_cache().Stats();
+  EXPECT_GT(after_narrow.entries, after_full.entries);
+
+  EngineOptions plain;
+  plain.num_workers = 2;
+  plain.max_read_streams = CachedOptions().max_read_streams;
+  QueryEngine uncached(&lake_, &api_, plain);
+  auto want = uncached.Execute("u", narrow);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(SerializeBatch(got->batch), SerializeBatch(want->batch));
+}
+
 TEST_F(BlockCacheScanTest, DmlInvalidatesAndScansNeverSeeStaleRows) {
   TableDef def;
   def.dataset = "ds";

@@ -647,9 +647,13 @@ TEST_F(ExprKernelsEngineTest, SelectionMaterializationIsCountedAndDeferred) {
   EXPECT_GT(rows->Value(), rows_before);
 
   // A filter feeding an aggregation never materializes in the engine: the
-  // selection is consumed directly by the grouping kernel.
+  // selection is consumed directly by the grouping kernel. (Over a Values
+  // leaf the filter stays in the engine; over a Scan the optimizer would
+  // push it into the Read API.)
+  auto full = MakeEngine().Execute("u", Plan::Scan("ds.sales"));
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
   auto agg = Plan::Aggregate(
-      Plan::Filter(Plan::Scan("ds.sales"),
+      Plan::Filter(Plan::Values(full->batch),
                    Expr::Gt(Expr::Col("qty"), Expr::Lit(Value::Int64(50)))),
       {}, {{AggOp::kCount, "", "n"}});
   mats_before = mats->Value();

@@ -98,6 +98,62 @@ class LakehouseFixture : public ::testing::Test {
     return def;
   }
 
+  /// The governed employee table of examples/governed_lakehouse.cpp as
+  /// `ds.people` (emp_id, dept, email, salary; 300 rows in 3 files):
+  ///   * user:eng-manager sees only dept = 'eng' rows, user:hr-analyst and
+  ///     user:privacy-officer see every row, anyone else sees none;
+  ///   * email is hash-masked for everyone but user:privacy-officer;
+  ///   * salary is denied to everyone but user:hr-analyst and
+  ///     user:privacy-officer.
+  void CreatePeopleTable(BigLakeTableService* biglake) {
+    static const char* kDepts[] = {"eng", "sales", "hr"};
+    SchemaPtr schema = MakeSchema({{"emp_id", DataType::kInt64, false},
+                                   {"dept", DataType::kString, false},
+                                   {"email", DataType::kString, false},
+                                   {"salary", DataType::kDouble, false}});
+    for (int f = 0; f < 3; ++f) {
+      BatchBuilder b(schema);
+      for (int i = f * 100; i < (f + 1) * 100; ++i) {
+        const std::string email = "emp" + std::to_string(i) + "@acme.com";
+        ASSERT_TRUE(b.AppendRow({Value::Int64(i), Value::String(kDepts[i % 3]),
+                                 Value::String(email),
+                                 Value::Double(50000.0 + i * 100)})
+                        .ok());
+      }
+      auto bytes = WriteParquetFile(b.Finish());
+      ASSERT_TRUE(bytes.ok());
+      PutOptions po;
+      po.content_type = "application/x-parquet-lite";
+      ASSERT_TRUE(store_
+                      ->Put(GcpCaller(), "lake",
+                            "people/part-" + std::to_string(f) + ".plk",
+                            *bytes, po)
+                      .ok());
+    }
+    TableDef def = MakeBigLakeDef("people", "people/");
+    def.schema = schema;
+    def.partition_columns.clear();
+    RowAccessPolicy eng_only;
+    eng_only.name = "eng_only";
+    eng_only.grantees = {"user:eng-manager"};
+    eng_only.filter =
+        Expr::Eq(Expr::Col("dept"), Expr::Lit(Value::String("eng")));
+    RowAccessPolicy all_rows;
+    all_rows.name = "all_rows";
+    all_rows.grantees = {"user:privacy-officer", "user:hr-analyst"};
+    all_rows.filter = Expr::Not(Expr::IsNull(Expr::Col("emp_id")));
+    def.policy.row_policies = {eng_only, all_rows};
+    ColumnRule email_rule;
+    email_rule.clear_readers = {"user:privacy-officer"};
+    email_rule.mask = MaskType::kHash;
+    def.policy.column_rules["email"] = email_rule;
+    ColumnRule salary_rule;
+    salary_rule.clear_readers = {"user:hr-analyst", "user:privacy-officer"};
+    salary_rule.deny_instead_of_mask = true;
+    def.policy.column_rules["salary"] = salary_rule;
+    ASSERT_TRUE(biglake->CreateBigLakeTable(def).ok());
+  }
+
   LakehouseEnv lake_;
   CloudLocation gcp_;
   ObjectStore* store_ = nullptr;

@@ -122,6 +122,73 @@ TEST_F(BigMetaTest, CompactionFoldsTail) {
   EXPECT_EQ(snap->size(), 25u);
 }
 
+// Compaction moves the tail's file metadata into the baseline. Snapshots
+// and simulated charges must be exactly those of a store that never
+// compacts, plus one `micros_per_file * (baseline + 1)` charge per fold.
+TEST_F(BigMetaTest, CompactionMovesTailWithoutChangingSnapshotsOrCharges) {
+  BigMetadataOptions compacting;
+  compacting.compaction_threshold = 4;
+  compacting.compaction_micros_per_file = 10.0;
+  BigMetadataOptions never = compacting;
+  never.compaction_threshold = 1u << 30;
+  SimEnv env_a;
+  SimEnv env_b;
+  BigMetadataStore a(&env_a, compacting);
+  BigMetadataStore b(&env_b, never);
+  a.EnsureTable("t");
+  b.EnsureTable("t");
+  auto paths = [](const std::vector<CachedFileMeta>& files) {
+    std::vector<std::string> out;
+    for (const auto& f : files) {
+      out.push_back(f.file.path + "#" + std::to_string(f.file.row_count) +
+                    "#" + f.file.column_stats.at("id").max.ToString());
+    }
+    return out;
+  };
+  SimMicros compactions_charged = 0;
+  for (int i = 0; i < 14; ++i) {
+    // Adds, removes of earlier files and a re-add of a removed path, so
+    // the fold order of removes and adds matters.
+    auto commit = [&](BigMetadataStore* m) {
+      MetaTransaction txn = m->BeginTransaction();
+      txn.AddFiles("t", {MakeFile("f" + std::to_string(i), 10 + i, 0, i),
+                         MakeFile("g" + std::to_string(i), 1)});
+      if (i >= 2) txn.RemoveFiles("t", {"g" + std::to_string(i - 2)});
+      if (i == 9) txn.AddFiles("t", {MakeFile("g0", 99, 0, 99)});
+      return txn.Commit();
+    };
+    const SimMicros a0 = env_a.clock().Now();
+    const SimMicros b0 = env_b.clock().Now();
+    ASSERT_TRUE(commit(&a).ok());
+    ASSERT_TRUE(commit(&b).ok());
+    SimMicros compaction = 0;
+    if (*a.TailLength("t") == 0) {
+      compaction = static_cast<SimMicros>(
+          10.0 * static_cast<double>(*a.BaselineSize("t") + 1));
+    }
+    // A commit costs the same on both stores, plus the fold when it ran.
+    EXPECT_EQ(env_a.clock().Now() - a0, env_b.clock().Now() - b0 + compaction)
+        << "commit " << i;
+    compactions_charged += compaction;
+    auto snap_a = a.Snapshot("t");
+    auto snap_b = b.Snapshot("t");
+    ASSERT_TRUE(snap_a.ok());
+    ASSERT_TRUE(snap_b.ok());
+    EXPECT_EQ(paths(*snap_a), paths(*snap_b)) << "after commit " << i;
+  }
+  EXPECT_GT(compactions_charged, 0);
+  EXPECT_EQ(env_a.counters().Get("bigmeta.compactions"), 3u);
+  // An explicit Compact folds the rest and charges the same formula.
+  const SimMicros before = env_a.clock().Now();
+  ASSERT_TRUE(a.Compact("t").ok());
+  EXPECT_EQ(*a.TailLength("t"), 0u);
+  EXPECT_EQ(env_a.clock().Now() - before,
+            static_cast<SimMicros>(
+                10.0 * static_cast<double>(*a.BaselineSize("t") + 1)));
+  EXPECT_EQ(paths(*a.Snapshot("t")), paths(*b.Snapshot("t")));
+  EXPECT_EQ(env_a.counters().Get("bigmeta.compactions"), 4u);
+}
+
 TEST_F(BigMetaTest, SnapshotBeforeBaselineTxnIsRejected) {
   BigMetadataOptions opts;
   opts.compaction_threshold = 2;

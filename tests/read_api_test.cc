@@ -262,6 +262,116 @@ TEST_F(ReadApiTest, DenyColumnRuleRejectsSession) {
   EXPECT_TRUE(api_.CreateReadSession("user:analyst", "ds.deny", opts).ok());
 }
 
+/// Every row of every stream of `session`.
+RecordBatch ReadAll(StorageReadApi* api, const ReadSession& session) {
+  std::vector<RecordBatch> parts;
+  for (size_t s = 0; s < session.streams.size(); ++s) {
+    auto batch = api->ReadStreamBatch(session, s);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (batch.ok()) parts.push_back(std::move(*batch));
+  }
+  if (parts.empty()) return RecordBatch::Empty(session.output_schema);
+  return *RecordBatch::Concat(parts);
+}
+
+// A predicate on a hash-masked column filters the masked tokens, never the
+// raw values the caller may not read.
+TEST_F(ReadApiTest, PredicateOnHashMaskedColumnSeesMaskedValues) {
+  CreatePeopleTable(&biglake_);
+  ReadSessionOptions opts;
+  opts.columns = {"emp_id", "email"};
+  opts.predicate =
+      Expr::Eq(Expr::Col("email"), Expr::Lit(Value::String("emp3@acme.com")));
+  auto analyst = api_.CreateReadSession("user:hr-analyst", "ds.people", opts);
+  ASSERT_TRUE(analyst.ok()) << analyst.status().ToString();
+  EXPECT_EQ(ReadAll(&api_, *analyst).num_rows(), 0u);
+  auto officer =
+      api_.CreateReadSession("user:privacy-officer", "ds.people", opts);
+  ASSERT_TRUE(officer.ok());
+  EXPECT_EQ(ReadAll(&api_, *officer).num_rows(), 1u);
+
+  // The token itself is what the analyst can filter on; raw min/max file
+  // statistics must not prune it away (tokens are not ordered like emails).
+  opts.predicate = nullptr;
+  auto plain = api_.CreateReadSession("user:hr-analyst", "ds.people", opts);
+  ASSERT_TRUE(plain.ok());
+  RecordBatch all = ReadAll(&api_, *plain);
+  ASSERT_EQ(all.num_rows(), 300u);
+  const Value token = all.GetValue(0, 1);
+  opts.predicate = Expr::Eq(Expr::Col("email"), Expr::Lit(token));
+  auto by_token = api_.CreateReadSession("user:hr-analyst", "ds.people", opts);
+  ASSERT_TRUE(by_token.ok());
+  EXPECT_EQ(by_token->files_pruned, 0u);
+  RecordBatch hit = ReadAll(&api_, *by_token);
+  ASSERT_EQ(hit.num_rows(), 1u);
+  EXPECT_EQ(hit.GetValue(0, 0), all.GetValue(0, 0));
+  EXPECT_EQ(hit.GetValue(0, 1), token);
+}
+
+// Under a nullify mask every value the caller sees is NULL: `IS NULL`
+// matches every row, so raw statistics (no NULLs) must not prune a file,
+// while unmasked conjuncts of the same predicate still prune.
+TEST_F(ReadApiTest, PredicateOnNullifiedColumnNeverPrunesOnRawStats) {
+  std::string prefix = "nullify/";
+  BuildLake(prefix, 3, 50);
+  TableDef def = MakeBigLakeDef("nullify", prefix);
+  ColumnRule rule;
+  rule.clear_readers = {"user:admin"};
+  rule.mask = MaskType::kNullify;
+  def.policy.column_rules["email"] = rule;
+  ASSERT_TRUE(biglake_.CreateBigLakeTable(def).ok());
+
+  ReadSessionOptions opts;
+  opts.columns = {"id"};
+  opts.predicate = Expr::IsNull(Expr::Col("email"));
+  auto analyst = api_.CreateReadSession("user:analyst", "ds.nullify", opts);
+  ASSERT_TRUE(analyst.ok());
+  EXPECT_EQ(analyst->files_pruned, 0u);
+  EXPECT_EQ(ReadAll(&api_, *analyst).num_rows(), 150u);
+  auto admin = api_.CreateReadSession("user:admin", "ds.nullify", opts);
+  ASSERT_TRUE(admin.ok());
+  EXPECT_EQ(ReadAll(&api_, *admin).num_rows(), 0u);
+
+  opts.predicate =
+      Expr::And(Expr::IsNull(Expr::Col("email")),
+                Expr::Eq(Expr::Col("date"), Expr::Lit(Value::Int64(1))));
+  auto both = api_.CreateReadSession("user:analyst", "ds.nullify", opts);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->files_pruned, 2u);
+  EXPECT_EQ(ReadAll(&api_, *both).num_rows(), 50u);
+
+  // A refined session governs its extra predicate the same way.
+  opts.predicate = nullptr;
+  auto base = api_.CreateReadSession("user:analyst", "ds.nullify", opts);
+  ASSERT_TRUE(base.ok());
+  auto refined =
+      api_.RefineSession(*base, Expr::IsNull(Expr::Col("email")));
+  ASSERT_TRUE(refined.ok());
+  EXPECT_EQ(refined->files_pruned, 0u);
+  EXPECT_EQ(ReadAll(&api_, *refined).num_rows(), 150u);
+  auto refined_eq = api_.RefineSession(
+      *base,
+      Expr::Eq(Expr::Col("email"), Expr::Lit(Value::String("user1@x.com"))));
+  ASSERT_TRUE(refined_eq.ok());
+  EXPECT_EQ(ReadAll(&api_, *refined_eq).num_rows(), 0u);
+}
+
+// A predicate reads its columns: one on a denied column fails the session
+// even when the column is not projected.
+TEST_F(ReadApiTest, PredicateOnDeniedColumnRejectsSession) {
+  CreatePeopleTable(&biglake_);
+  ReadSessionOptions opts;
+  opts.columns = {"emp_id"};
+  opts.predicate =
+      Expr::Gt(Expr::Col("salary"), Expr::Lit(Value::Double(70000.0)));
+  EXPECT_TRUE(api_.CreateReadSession("user:eng-manager", "ds.people", opts)
+                  .status()
+                  .IsPermissionDenied());
+  auto hr = api_.CreateReadSession("user:hr-analyst", "ds.people", opts);
+  ASSERT_TRUE(hr.ok());
+  EXPECT_EQ(ReadAll(&api_, *hr).num_rows(), 99u);
+}
+
 TEST_F(ReadApiTest, SnapshotReadsSeePointInTime) {
   CreateLakeTable("snap", 2, 10);
   uint64_t txn_before = lake_.sim().counters().Get("bigmeta.commits");

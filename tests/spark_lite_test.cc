@@ -178,6 +178,23 @@ TEST_F(SparkLiteTest, GovernanceAppliesIdenticallyToSparkReads) {
   EXPECT_EQ(eve->batch.num_rows(), 0u);
 }
 
+// Spark-lite's governed read filters a masked column on its masked values,
+// like the engine does.
+TEST_F(SparkLiteTest, MaskedColumnFilterSeesMaskedValues) {
+  CreatePeopleTable(&biglake_);
+  SparkLiteEngine spark = MakeSpark();
+  auto df = spark.ReadBigLake("ds.people")
+                .Filter(Expr::Eq(Expr::Col("email"),
+                                 Expr::Lit(Value::String("emp3@acme.com"))))
+                .Select({"emp_id", "email"});
+  auto analyst = df.Collect("user:hr-analyst");
+  ASSERT_TRUE(analyst.ok()) << analyst.status().ToString();
+  EXPECT_EQ(analyst->batch.num_rows(), 0u);
+  auto officer = df.Collect("user:privacy-officer");
+  ASSERT_TRUE(officer.ok()) << officer.status().ToString();
+  EXPECT_EQ(officer->batch.num_rows(), 1u);
+}
+
 TEST_F(SparkLiteTest, DirectScanBypassesGovernanceButPaysListing) {
   std::string prefix = "direct/";
   BuildLake(prefix, 5, 40);

@@ -2,6 +2,7 @@
 
 #include "core/blmt.h"
 #include "engine/engine.h"
+#include "engine/optimizer.h"
 #include "engine/sql_parser.h"
 #include "lakehouse_fixture.h"
 
@@ -28,12 +29,27 @@ TEST(SqlParserTest, TableNamePreservesCase) {
   EXPECT_EQ((*plan)->table_id, "MyDataset.OrdersTable");
 }
 
+// The parser always emits WHERE as a Filter; the optimizer is the one place
+// it moves into the scan.
 TEST(SqlParserTest, WherePushedIntoSingleTableScan) {
   auto plan = ParseSql("SELECT * FROM ds.sales WHERE id < 10");
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*plan)->kind, Plan::Kind::kScan);
-  ASSERT_NE((*plan)->scan_predicate, nullptr);
-  EXPECT_EQ((*plan)->scan_predicate->ToString(), "(id < 10)");
+  ASSERT_EQ((*plan)->kind, Plan::Kind::kFilter);
+  EXPECT_EQ((*plan)->filter->ToString(), "(id < 10)");
+  EXPECT_EQ((*plan)->children[0]->kind, Plan::Kind::kScan);
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateDataset("ds").ok());
+  TableDef def;
+  def.dataset = "ds";
+  def.name = "sales";
+  def.kind = TableKind::kManaged;
+  def.schema = MakeSchema({{"id", DataType::kInt64, false}});
+  ASSERT_TRUE(catalog.CreateTable(def).ok());
+  PlanPtr optimized = OptimizePlan(catalog, *plan);
+  EXPECT_EQ(optimized->kind, Plan::Kind::kScan);
+  ASSERT_NE(optimized->scan_predicate, nullptr);
+  EXPECT_EQ(optimized->scan_predicate->ToString(), "(id < 10)");
 }
 
 TEST(SqlParserTest, ProjectionWithAliases) {
@@ -107,7 +123,7 @@ TEST(SqlParserTest, ComplexPredicates) {
   auto plan = ParseSql(
       "SELECT * FROM ds.t WHERE (a > 1 AND b <= 2.5) OR NOT c = 'x'");
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*plan)->scan_predicate->ToString(),
+  EXPECT_EQ((*plan)->filter->ToString(),
             "(((a > 1) AND (b <= 2.5)) OR NOT (c = 'x'))");
 }
 
@@ -116,7 +132,7 @@ TEST(SqlParserTest, InListIsNullAndBooleans) {
       "SELECT * FROM ds.t WHERE a IN (1, 2, 3) AND b IS NOT NULL AND "
       "c = TRUE AND d IS NULL");
   ASSERT_TRUE(plan.ok());
-  std::string s = (*plan)->scan_predicate->ToString();
+  std::string s = (*plan)->filter->ToString();
   EXPECT_NE(s.find("a IN (1, 2, 3)"), std::string::npos);
   EXPECT_NE(s.find("NOT b IS NULL"), std::string::npos);
   EXPECT_NE(s.find("d IS NULL"), std::string::npos);
@@ -125,7 +141,7 @@ TEST(SqlParserTest, InListIsNullAndBooleans) {
 TEST(SqlParserTest, NotInList) {
   auto plan = ParseSql("SELECT * FROM ds.t WHERE a NOT IN (5, 6)");
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*plan)->scan_predicate->ToString(), "NOT a IN (5, 6)");
+  EXPECT_EQ((*plan)->filter->ToString(), "NOT a IN (5, 6)");
 }
 
 TEST(SqlParserTest, ArithmeticPrecedence) {
@@ -137,17 +153,17 @@ TEST(SqlParserTest, ArithmeticPrecedence) {
 TEST(SqlParserTest, NegativeLiterals) {
   auto plan = ParseSql("SELECT * FROM ds.t WHERE x > -5");
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*plan)->scan_predicate->ToString(), "(x > -5)");
+  EXPECT_EQ((*plan)->filter->ToString(), "(x > -5)");
 }
 
 TEST(SqlParserTest, StringEscapesAndComparison) {
   auto plan = ParseSql("SELECT * FROM ds.t WHERE name != 'east'");
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*plan)->scan_predicate->ToString(), "(name != 'east')");
+  EXPECT_EQ((*plan)->filter->ToString(), "(name != 'east')");
   // <> is a synonym.
   auto plan2 = ParseSql("SELECT * FROM ds.t WHERE name <> 'east'");
   ASSERT_TRUE(plan2.ok());
-  EXPECT_EQ((*plan2)->scan_predicate->ToString(), "(name != 'east')");
+  EXPECT_EQ((*plan2)->filter->ToString(), "(name != 'east')");
 }
 
 TEST(SqlParserTest, ErrorsAreInvalidArgumentWithOffsets) {
@@ -267,6 +283,97 @@ TEST_F(SqlExecutionTest, Listing3ShapeJoin) {
       "GROUP BY r_manager");
   ASSERT_EQ(batch.num_rows(), 1u);  // single manager
   EXPECT_EQ(batch.GetValue(0, 1), Value::Int64(200));
+}
+
+// A hive partition column used outside a join key (here as the group key)
+// is surfaced by the optimizer's column pruning.
+TEST_F(SqlExecutionTest, GroupByPartitionColumn) {
+  RecordBatch batch = Run(
+      "SELECT date, COUNT(*) AS n FROM ds.sales GROUP BY date ORDER BY date");
+  ASSERT_EQ(batch.num_rows(), 4u);
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    EXPECT_EQ(batch.GetValue(r, 0), Value::Int64(static_cast<int64_t>(r)));
+    EXPECT_EQ(batch.GetValue(r, 1), Value::Int64(50));
+  }
+}
+
+// The examples/governed_lakehouse.cpp table through SQL.
+class GovernedSqlTest : public SqlExecutionTest {
+ protected:
+  GovernedSqlTest() {
+    CreatePeopleTable(&biglake_);
+    TableDef dim = MakeBigLakeDef("depts", "depts/");
+    dim.kind = TableKind::kBigLakeManaged;
+    dim.schema = MakeSchema({{"d_name", DataType::kString, false},
+                             {"d_floor", DataType::kInt64, false}});
+    dim.partition_columns.clear();
+    dim.iam.Grant("*", Role::kWriter);
+    BlmtService blmt(&lake_);
+    EXPECT_TRUE(blmt.CreateTable(dim).ok());
+    BatchBuilder b(dim.schema);
+    int64_t floor = 1;
+    for (const char* d : {"eng", "sales", "hr"}) {
+      EXPECT_TRUE(b.AppendRow({Value::String(d), Value::Int64(floor++)}).ok());
+    }
+    EXPECT_TRUE(blmt.Insert("u", "ds.depts", b.Finish()).ok());
+  }
+
+  Result<QueryResult> RunAs(const Principal& who, const std::string& sql) {
+    auto plan = ParseSql(sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return plan.status();
+    return engine_.Execute(who, *plan);
+  }
+};
+
+// A WHERE conjunct on a masked column filters masked values, whether the
+// query is single-table or a join (where the optimizer pushes the conjunct
+// into the people scan).
+TEST_F(GovernedSqlTest, MaskedColumnPredicateAgreesInBothForms) {
+  const std::string single =
+      "SELECT emp_id, email FROM ds.people WHERE email = 'emp3@acme.com'";
+  const std::string join =
+      "SELECT emp_id, email, d_floor FROM ds.people JOIN ds.depts "
+      "ON dept = d_name WHERE email = 'emp3@acme.com'";
+  for (const std::string& sql : {single, join}) {
+    SCOPED_TRACE(sql);
+    auto analyst = RunAs("user:hr-analyst", sql);
+    ASSERT_TRUE(analyst.ok()) << analyst.status().ToString();
+    EXPECT_EQ(analyst->batch.num_rows(), 0u);
+    auto officer = RunAs("user:privacy-officer", sql);
+    ASSERT_TRUE(officer.ok()) << officer.status().ToString();
+    ASSERT_EQ(officer->batch.num_rows(), 1u);
+    EXPECT_EQ(officer->batch.GetValue(0, 0), Value::Int64(3));
+  }
+  // The same conjunct written as a Filter above a plan-built join.
+  auto plan = Plan::Filter(
+      Plan::HashJoin(Plan::Scan("ds.depts"), Plan::Scan("ds.people"),
+                     {"d_name"}, {"dept"}),
+      Expr::Eq(Expr::Col("email"), Expr::Lit(Value::String("emp3@acme.com"))));
+  auto r = engine_.Execute("user:hr-analyst", plan);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->batch.num_rows(), 0u);
+}
+
+// A query that never references a denied column must not fail on it: the
+// pruned scan requests only emp_id and email.
+TEST_F(GovernedSqlTest, DeniedColumnNotReferencedIsNotRequested) {
+  auto r = RunAs("user:eng-manager", "SELECT emp_id, email FROM ds.people");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->batch.num_rows(), 100u);  // eng rows only
+  for (size_t i = 0; i < r->batch.num_rows(); ++i) {
+    EXPECT_EQ(r->batch.GetValue(i, 0).int64_value() % 3, 0);
+    EXPECT_EQ(r->batch.GetValue(i, 1).string_value().find('@'),
+              std::string::npos);  // hashed
+  }
+  // Referencing it anywhere (here only in WHERE) still fails.
+  EXPECT_TRUE(RunAs("user:eng-manager",
+                    "SELECT emp_id FROM ds.people WHERE salary > 0")
+                  .status()
+                  .IsPermissionDenied());
+  EXPECT_TRUE(RunAs("user:eng-manager", "SELECT * FROM ds.people")
+                  .status()
+                  .IsPermissionDenied());
 }
 
 TEST_F(SqlExecutionTest, LimitCapsRows) {
