@@ -8,6 +8,10 @@
 //   2. With the vectorized server-side pipeline, Spark over the Read API
 //      matches or exceeds Spark reading Parquet directly from GCS on TPC-H
 //      — customers no longer trade price-performance for governance.
+//
+// Exits 1 unless both hold: statistics lower the TOTAL virtual wall time of
+// part 1, and every part-2 Read API query is at most as slow as its direct
+// read (API/direct <= 1.0x).
 
 #include "bench/bench_util.h"
 #include "extengine/spark_lite.h"
@@ -37,7 +41,6 @@ int Run() {
   SparkOptions with_stats;
   SparkOptions no_stats;
   no_stats.use_session_stats = false;
-  no_stats.dynamic_partition_pruning = false;
   SparkLiteEngine smart(&env.lake, &api, with_stats);
   SparkLiteEngine dumb(&env.lake, &api, no_stats);
 
@@ -107,6 +110,11 @@ int Run() {
   std::printf(
       "paper: combined stats-driven optimizations gave a 5x Spark TPC-DS "
       "improvement.\n");
+  bool ok = true;
+  if (total_stats >= total_no_stats) {
+    std::printf("FAIL: statistics did not lower the TOTAL wall time\n");
+    ok = false;
+  }
 
   // ---- Part 2: TPC-H-lite, Read API vs direct object-store reads ----------
   auto tpch = SetupTpch(&env.lake, &biglake, &blmt, env.store, "lake",
@@ -149,18 +157,23 @@ int Run() {
       std::printf("%s failed\n", c.name.c_str());
       return 1;
     }
+    const double ratio =
+        static_cast<double>(api_result->stats.wall_micros) /
+        static_cast<double>(std::max<SimMicros>(1, direct->stats.wall_micros));
     PrintRow({c.name, Ms(direct->stats.wall_micros),
-              Ms(api_result->stats.wall_micros),
-              Factor(static_cast<double>(api_result->stats.wall_micros) /
-                     static_cast<double>(std::max<SimMicros>(
-                         1, direct->stats.wall_micros)))},
+              Ms(api_result->stats.wall_micros), Factor(ratio)},
              {26, 14, 14, 12});
+    if (ratio > 1.0) {
+      std::printf("FAIL: %s is slower through the Read API than direct\n",
+                  c.name.c_str());
+      ok = false;
+    }
   }
   std::printf(
       "paper: Spark against BigLake tables now matches or exceeds direct "
       "GCS reads on TPC-H (values <= ~1x above), while adding uniform "
       "governance.\n");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Vectorized hash aggregation over RecordBatches.
 //
 // Lives in the columnar library (not the engine) because aggregation runs
-// in three places: the Dremel-lite engine, the Spark-lite engine, and —
-// per the Sec 3.4 future-work item implemented here — *inside the Storage
-// Read API*, which can compute partial aggregates server-side and return a
-// much smaller payload (aggregate pushdown).
+// in two places: the Dremel-lite engine (which Spark-lite queries run on)
+// and — per the Sec 3.4 future-work item implemented here — *inside the
+// Storage Read API*, which can compute partial aggregates server-side and
+// return a much smaller payload (aggregate pushdown).
 
 #ifndef BIGLAKE_COLUMNAR_AGGREGATE_H_
 #define BIGLAKE_COLUMNAR_AGGREGATE_H_

@@ -38,8 +38,9 @@ class LakehouseEnv {
   SessionTokenService& token_service() { return tokens_; }
 
   /// The environment-wide columnar block cache (src/cache/). Disabled until
-  /// ConfigureBlockCache grants it capacity; every consumer (Read API, and
-  /// through it the engine and Spark-lite) shares the same instance, so an
+  /// ConfigureBlockCache grants it capacity; every consumer (the Read API,
+  /// and through it the engine and any external caller that sets
+  /// ReadSessionOptions::use_block_cache) shares the same instance, so an
   /// external engine's scan warms the next BigQuery scan and vice versa.
   cache::BlockCache& block_cache() { return block_cache_; }
   void ConfigureBlockCache(const cache::BlockCacheOptions& options) {

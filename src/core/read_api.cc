@@ -289,55 +289,47 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
     credential.principal = "sa:bigquery-internal";
   }
 
-  // Resolve fine-grained policy over the *requested* columns.
+  // Every column the session reads is governed once: the requested ones,
+  // the predicate's, and the pushed aggregates' inputs and group keys. A
+  // denied one fails the session; a masked one is read masked, so a
+  // predicate filters on and a pushed aggregate folds only what the caller
+  // may see (see MaskedView, SecuredColumn).
   std::vector<std::string> requested = options.columns;
   if (requested.empty()) {
     for (const Field& f : table->schema->fields()) {
       requested.push_back(f.name);
     }
   }
-  // A predicate reads its columns too: a denied one fails the session, a
-  // masked one filters on masked values (see MaskedView).
-  std::set<std::string> predicate_cols;
-  if (options.predicate != nullptr) {
-    options.predicate->CollectColumns(&predicate_cols);
-  }
-  std::vector<std::string> governed = requested;
-  for (const std::string& c : predicate_cols) {
-    if (std::find(governed.begin(), governed.end(), c) == governed.end()) {
-      governed.push_back(c);
-    }
-  }
-  BL_ASSIGN_OR_RETURN(EffectiveAccess access,
-                      ResolveAccess(table->policy, principal, governed));
-
-  // Server-side scan columns: requested + predicate + row-filter columns.
-  std::set<std::string> scan_cols(requested.begin(), requested.end());
-  scan_cols.insert(predicate_cols.begin(), predicate_cols.end());
-  if (access.row_filter != nullptr) {
-    access.row_filter->CollectColumns(&scan_cols);
-  }
-  // Validate all names against the table schema.
-  for (const auto& name : scan_cols) {
-    bool is_partition_col =
-        std::find(table->partition_columns.begin(),
-                  table->partition_columns.end(),
-                  name) != table->partition_columns.end();
-    if (table->schema->FieldIndex(name) < 0 && !is_partition_col) {
-      return Status::NotFound(StrCat("no column `", name, "` in table `",
-                                     table_id, "`"));
-    }
-  }
-
-  // Aggregate pushdown validation.
   for (const AggSpec& spec : options.partial_aggregates) {
     if (spec.op == AggOp::kAvg) {
       return Status::InvalidArgument(
           "AVG is not pushable; push SUM and COUNT and divide client-side");
     }
-    if (!spec.input.empty()) scan_cols.insert(spec.input);
   }
-  for (const auto& g : options.aggregate_group_by) scan_cols.insert(g);
+  std::set<std::string> predicate_cols;
+  if (options.predicate != nullptr) {
+    options.predicate->CollectColumns(&predicate_cols);
+  }
+  std::vector<std::string> governed = requested;
+  auto read_too = [&governed](const std::string& c) {
+    if (std::find(governed.begin(), governed.end(), c) == governed.end()) {
+      governed.push_back(c);
+    }
+  };
+  for (const std::string& c : predicate_cols) read_too(c);
+  for (const AggSpec& spec : options.partial_aggregates) {
+    if (!spec.input.empty()) read_too(spec.input);
+  }
+  for (const std::string& g : options.aggregate_group_by) read_too(g);
+  BL_ASSIGN_OR_RETURN(EffectiveAccess access,
+                      ResolveAccess(table->policy, principal, governed));
+
+  // Server-side scan columns: the governed ones + row-filter columns, each
+  // a table or hive partition column.
+  std::set<std::string> scan_cols(governed.begin(), governed.end());
+  if (access.row_filter != nullptr) {
+    access.row_filter->CollectColumns(&scan_cols);
+  }
   for (const auto& name : scan_cols) {
     bool is_partition_col =
         std::find(table->partition_columns.begin(),

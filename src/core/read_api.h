@@ -182,8 +182,8 @@ class StorageReadApi {
     Principal principal;
     const TableDef* table = nullptr;
     Credential credential;       // delegated, scoped to the table prefix
-    /// Resolved fine-grained policy over the requested and the predicate's
-    /// columns.
+    /// Resolved fine-grained policy over every column the session reads:
+    /// requested, predicate, pushed-aggregate inputs and group keys.
     EffectiveAccess access;
     /// The predicate's conjuncts that touch no masked column: the only part
     /// raw file and row-group statistics may prune with.

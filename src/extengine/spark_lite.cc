@@ -6,7 +6,6 @@
 
 #include "columnar/kernels.h"
 #include "common/strings.h"
-#include "engine/operators.h"
 #include "format/object_source.h"
 #include "format/parquet_lite.h"
 #include "meta/metadata_cache.h"
@@ -17,15 +16,30 @@ namespace {
 using Node = DataFrame::Node;
 using NodePtr = DataFrame::NodePtr;
 
-std::shared_ptr<Node> NewNode(Node::Kind kind) {
-  auto n = std::make_shared<Node>();
-  n->kind = kind;
-  return n;
+/// Spark-lite CPU per value, in its operators and its own leaves: JVM row
+/// processing is costlier than the server-side vectorized pipeline.
+constexpr double kCpuMicrosPerValue = 0.004;
+
+/// The engine every Spark-lite query runs on.
+EngineOptions EngineOptionsFor(const SparkOptions& options) {
+  EngineOptions engine;
+  engine.num_workers = options.executors;
+  engine.use_table_stats = options.use_session_stats;
+  engine.dynamic_partition_pruning = options.use_session_stats;
+  engine.cpu_micros_per_value = kCpuMicrosPerValue;
+  return engine;
 }
 }  // namespace
 
+SparkLiteEngine::SparkLiteEngine(LakehouseEnv* env, StorageReadApi* read_api,
+                                 SparkOptions options)
+    : env_(env),
+      read_api_(read_api),
+      options_(options),
+      query_engine_(env, read_api, EngineOptionsFor(options)) {}
+
 DataFrame SparkLiteEngine::ReadBigLake(std::string table_id) {
-  auto n = NewNode(Node::Kind::kScan);
+  auto n = std::make_shared<Node>();
   n->scan.table_id = std::move(table_id);
   return DataFrame(this, n);
 }
@@ -33,7 +47,7 @@ DataFrame SparkLiteEngine::ReadBigLake(std::string table_id) {
 DataFrame SparkLiteEngine::ReadParquetDirect(CloudLocation location,
                                              std::string bucket,
                                              std::string prefix) {
-  auto n = NewNode(Node::Kind::kScan);
+  auto n = std::make_shared<Node>();
   n->scan.direct = true;
   n->scan.location = location;
   n->scan.bucket = std::move(bucket);
@@ -41,414 +55,172 @@ DataFrame SparkLiteEngine::ReadParquetDirect(CloudLocation location,
   return DataFrame(this, n);
 }
 
+DataFrame DataFrame::Over(PlanPtr op, std::vector<NodePtr> children) const {
+  auto n = std::make_shared<Node>();
+  n->op = std::move(op);
+  n->children = std::move(children);
+  return DataFrame(engine_, n);
+}
+
 DataFrame DataFrame::Filter(ExprPtr predicate) const {
   // Pushdown: a filter directly over a scan folds into the scan spec, the
   // way Spark's DataSourceV2 pushes predicates into the connector.
-  if (node_->kind == Node::Kind::kScan) {
-    auto n = NewNode(Node::Kind::kScan);
-    n->scan = node_->scan;
+  if (node_->op == nullptr) {
+    auto n = std::make_shared<Node>(*node_);
     n->scan.predicate = n->scan.predicate == nullptr
                             ? predicate
                             : Expr::And(n->scan.predicate, predicate);
     return DataFrame(engine_, n);
   }
-  auto n = NewNode(Node::Kind::kFilter);
-  n->children = {node_};
-  n->predicate = std::move(predicate);
-  return DataFrame(engine_, n);
+  return Over(Plan::Filter(nullptr, std::move(predicate)), {node_});
 }
 
 DataFrame DataFrame::Select(std::vector<std::string> columns) const {
-  if (node_->kind == Node::Kind::kScan && node_->scan.columns.empty()) {
-    auto n = NewNode(Node::Kind::kScan);
-    n->scan = node_->scan;
+  if (node_->op == nullptr && node_->scan.columns.empty()) {
+    auto n = std::make_shared<Node>(*node_);
     n->scan.columns = std::move(columns);
     return DataFrame(engine_, n);
   }
-  auto n = NewNode(Node::Kind::kSelect);
-  n->children = {node_};
-  n->columns = std::move(columns);
-  return DataFrame(engine_, n);
+  std::vector<ExprPtr> refs;
+  for (const std::string& c : columns) refs.push_back(Expr::Col(c));
+  return Over(Plan::Project(nullptr, std::move(columns), std::move(refs)),
+              {node_});
 }
 
 DataFrame DataFrame::Join(const DataFrame& right,
                           std::vector<std::string> left_keys,
                           std::vector<std::string> right_keys) const {
-  auto n = NewNode(Node::Kind::kJoin);
-  n->children = {node_, right.node_};
-  n->left_keys = std::move(left_keys);
-  n->right_keys = std::move(right_keys);
-  return DataFrame(engine_, n);
+  return Over(Plan::HashJoin(nullptr, nullptr, std::move(left_keys),
+                             std::move(right_keys)),
+              {node_, right.node_});
 }
 
 DataFrame DataFrame::Aggregate(std::vector<std::string> group_by,
                                std::vector<AggSpec> aggregates) const {
-  auto n = NewNode(Node::Kind::kAggregate);
-  n->children = {node_};
-  n->group_by = std::move(group_by);
-  n->aggregates = std::move(aggregates);
-  return DataFrame(engine_, n);
+  return Over(Plan::Aggregate(nullptr, std::move(group_by),
+                              std::move(aggregates)),
+              {node_});
 }
 
 DataFrame DataFrame::OrderBy(std::vector<SortKey> keys) const {
-  auto n = NewNode(Node::Kind::kSort);
-  n->children = {node_};
-  n->sort_keys = std::move(keys);
-  return DataFrame(engine_, n);
+  return Over(Plan::OrderBy(nullptr, std::move(keys)), {node_});
 }
 
 DataFrame DataFrame::Limit(uint64_t limit) const {
-  auto n = NewNode(Node::Kind::kLimit);
-  n->children = {node_};
-  n->limit = limit;
-  return DataFrame(engine_, n);
+  return Over(Plan::Limit(nullptr, limit), {node_});
 }
 
 Result<SparkResult> DataFrame::Collect(const Principal& principal) const {
   SparkResult result;
+  SparkQueryStats& stats = result.stats;
   SimTimer timer(engine_->env_->sim());
-  BL_ASSIGN_OR_RETURN(result.batch,
-                      engine_->ExecuteNode(principal, node_, &result.stats));
-  result.stats.rows_returned = result.batch.num_rows();
-  result.stats.total_micros = timer.ElapsedMicros();
+  // One metadata snapshot for the whole query: the pushed-aggregate
+  // sessions lowered here and every scan the engine runs.
+  const meta::TxnSnapshot snapshot{engine_->env_->meta().LatestTxn(), {}};
+  BL_ASSIGN_OR_RETURN(PlanPtr plan,
+                      engine_->Lower(principal, node_, snapshot.meta_txn,
+                                     &stats));
+  BL_ASSIGN_OR_RETURN(QueryResult run,
+                      engine_->query_engine_.Execute(principal, plan, nullptr,
+                                                     nullptr, &snapshot));
+  result.batch = std::move(run.batch);
+  stats.wall_micros += run.stats.wall_micros;
+  stats.files_scanned += run.stats.files_scanned;
+  stats.files_pruned += run.stats.files_pruned;
+  stats.read_streams += run.stats.read_streams;
+  stats.build_side_swaps += run.stats.build_side_swaps;
+  stats.dpp_scans += run.stats.dpp_scans;
+  stats.rows_returned = result.batch.num_rows();
+  stats.total_micros = timer.ElapsedMicros();
   engine_->env_->sim().counters().Add("spark.queries", 1);
   return result;
 }
 
 void SparkLiteEngine::ChargeCpu(uint64_t values, SparkQueryStats* stats) {
-  auto micros = static_cast<SimMicros>(options_.cpu_micros_per_value *
+  auto micros = static_cast<SimMicros>(kCpuMicrosPerValue *
                                        static_cast<double>(values));
   env_->sim().Charge("spark.cpu", micros);
-  stats->total_micros += micros;
   stats->wall_micros += micros / std::max<uint32_t>(1, options_.executors);
 }
 
-uint64_t SparkLiteEngine::EstimateRows(const Principal& principal,
-                                       const NodePtr& node) {
-  switch (node->kind) {
-    case Node::Kind::kScan: {
-      if (node->scan.direct) return 1ull << 40;  // no stats for direct reads
-      if (!options_.use_session_stats) return 1ull << 40;
-      // Driver-side: session statistics from the connector.
-      ReadSessionOptions opts;
-      opts.max_streams = 1;
-      auto session =
-          read_api_->CreateReadSession(principal, node->scan.table_id, opts);
-      if (!session.ok()) return 1ull << 40;
-      uint64_t rows = 0;
-      for (const auto& [col, stats] : session->table_stats) {
-        rows = std::max(rows, stats.row_count);
-      }
-      if (node->scan.predicate != nullptr) rows /= 10;
-      return rows == 0 ? 1ull << 40 : rows;
+Result<PlanPtr> SparkLiteEngine::Lower(const Principal& principal,
+                                       const NodePtr& node,
+                                       uint64_t snapshot_txn,
+                                       SparkQueryStats* stats) {
+  if (node->op == nullptr) {
+    const ScanSpec& scan = node->scan;
+    if (!scan.direct) {
+      return Plan::Scan(scan.table_id, scan.columns, scan.predicate);
     }
-    case Node::Kind::kFilter:
-      return EstimateRows(principal, node->children[0]) / 10;
-    case Node::Kind::kJoin:
-      return std::max(EstimateRows(principal, node->children[0]),
-                      EstimateRows(principal, node->children[1]));
-    case Node::Kind::kAggregate:
-      return std::max<uint64_t>(
-          1, EstimateRows(principal, node->children[0]) / 100);
-    case Node::Kind::kLimit:
-      return node->limit;
-    default:
-      return node->children.empty()
-                 ? 0
-                 : EstimateRows(principal, node->children[0]);
+    BL_ASSIGN_OR_RETURN(RecordBatch rows, DirectScan(scan, stats));
+    return Plan::Values(std::move(rows));
   }
+  // Aggregate pushdown: COUNT/SUM/MIN/MAX over a connector scan run
+  // server-side; only per-stream partials cross the wire.
+  const Plan& op = *node->op;
+  bool pushable = op.kind == Plan::Kind::kAggregate &&
+                  node->children[0]->op == nullptr &&
+                  !node->children[0]->scan.direct && !op.aggregates.empty();
+  for (const AggSpec& spec : op.aggregates) {
+    if (spec.op == AggOp::kAvg) pushable = false;
+  }
+  if (pushable) {
+    BL_ASSIGN_OR_RETURN(
+        RecordBatch rows,
+        PushedAggregate(principal, *node, snapshot_txn, stats));
+    return Plan::Values(std::move(rows));
+  }
+  std::vector<PlanPtr> children;
+  for (const NodePtr& child : node->children) {
+    BL_ASSIGN_OR_RETURN(PlanPtr lowered,
+                        Lower(principal, child, snapshot_txn, stats));
+    children.push_back(std::move(lowered));
+  }
+  auto plan = std::make_shared<Plan>(op);
+  plan->children = std::move(children);
+  return PlanPtr(std::move(plan));
 }
 
-Result<RecordBatch> SparkLiteEngine::ExecuteNode(const Principal& principal,
-                                                 const NodePtr& node,
-                                                 SparkQueryStats* stats) {
-  switch (node->kind) {
-    case Node::Kind::kScan:
-      return ExecuteScan(principal, node->scan, stats);
-    case Node::Kind::kFilter: {
-      BL_ASSIGN_OR_RETURN(RecordBatch in,
-                          ExecuteNode(principal, node->children[0], stats));
-      BL_ASSIGN_OR_RETURN(kernels::BoolVec mask,
-                          kernels::EvaluatePredicate(*node->predicate, in));
-      ChargeCpu(in.num_rows(), stats);
-      return in.Filter(kernels::BoolVecToMask(mask));
-    }
-    case Node::Kind::kSelect: {
-      BL_ASSIGN_OR_RETURN(RecordBatch in,
-                          ExecuteNode(principal, node->children[0], stats));
-      return in.Project(node->columns);
-    }
-    case Node::Kind::kJoin: {
-      NodePtr build = node->children[0];
-      NodePtr probe = node->children[1];
-      std::vector<std::string> build_keys = node->left_keys;
-      std::vector<std::string> probe_keys = node->right_keys;
-      if (options_.use_session_stats &&
-          EstimateRows(principal, build) > EstimateRows(principal, probe)) {
-        std::swap(build, probe);
-        std::swap(build_keys, probe_keys);
-        ++stats->build_side_swaps;
-        env_->sim().counters().Add("spark.build_side_swaps", 1);
-      }
-      // Connector scans must request join keys explicitly when the key is a
-      // hive partition column not stored in the data files.
-      auto ensure_keys = [this](const NodePtr& p,
-                                const std::vector<std::string>& keys)
-          -> NodePtr {
-        if (p->kind != Node::Kind::kScan || p->scan.direct) return p;
-        auto table = env_->catalog().GetTable(p->scan.table_id);
-        if (!table.ok()) return p;
-        std::vector<std::string> cols = p->scan.columns;
-        if (cols.empty()) {
-          bool missing = false;
-          for (const auto& k : keys) {
-            if ((*table)->schema->FieldIndex(k) < 0) missing = true;
-          }
-          if (!missing) return p;
-          for (const Field& f : (*table)->schema->fields()) {
-            cols.push_back(f.name);
-          }
-        }
-        bool changed = false;
-        for (const auto& k : keys) {
-          if (std::find(cols.begin(), cols.end(), k) == cols.end()) {
-            cols.push_back(k);
-            changed = true;
-          }
-        }
-        if (!changed && !p->scan.columns.empty()) return p;
-        auto n = NewNode(Node::Kind::kScan);
-        n->scan = p->scan;
-        n->scan.columns = std::move(cols);
-        return n;
-      };
-      build = ensure_keys(build, build_keys);
-      probe = ensure_keys(probe, probe_keys);
-
-      BL_ASSIGN_OR_RETURN(RecordBatch build_batch,
-                          ExecuteNode(principal, build, stats));
-      // Dynamic partition pruning: re-create the probe scan's read session
-      // with the build side's distinct keys as an IN-list.
-      RecordBatch probe_batch;
-      bool probe_done = false;
-      if (options_.use_session_stats && options_.dynamic_partition_pruning &&
-          probe->kind == Node::Kind::kScan && !probe->scan.direct &&
-          build_keys.size() == 1) {
-        std::vector<Value> keys = ops::DistinctValues(
-            build_batch, build_keys[0], options_.dpp_max_keys);
-        if (!keys.empty()) {
-          ExprPtr in_list =
-              Expr::InList(Expr::Col(probe_keys[0]), std::move(keys));
-          ++stats->dpp_scans;
-          env_->sim().counters().Add("spark.dpp_scans", 1);
-          if (options_.reuse_read_sessions) {
-            // Session reuse: narrow the base session in place instead of
-            // paying a second full session creation.
-            ReadSessionOptions opts;
-            opts.columns = probe->scan.columns;
-            opts.predicate = probe->scan.predicate;
-            opts.max_streams = options_.executors;
-            opts.use_block_cache = options_.use_block_cache;
-            opts.readahead_depth = options_.readahead_depth;
-            SimTimer plan_timer(env_->sim());
-            auto base = read_api_->CreateReadSession(
-                principal, probe->scan.table_id, opts);
-            if (base.ok()) {
-              auto refined = read_api_->RefineSession(*base, in_list);
-              if (refined.ok()) {
-                stats->wall_micros += plan_timer.ElapsedMicros();
-                ++stats->sessions_created;
-                ++stats->sessions_refined;
-                env_->sim().counters().Add("spark.sessions_refined", 1);
-                for (const auto& stream : refined->streams) {
-                  stats->files_scanned += stream.files.size();
-                }
-                stats->files_pruned += refined->files_pruned;
-                BL_ASSIGN_OR_RETURN(probe_batch,
-                                    ReadSessionStreams(*refined, stats));
-                probe_done = true;
-              }
-            }
-            if (!probe_done && !base.ok() &&
-                (base.status().IsPermissionDenied() ||
-                 base.status().code() == StatusCode::kUnauthenticated)) {
-              return base.status();
-            }
-          }
-          if (!probe_done) {
-            auto pruned = NewNode(Node::Kind::kScan);
-            pruned->scan = probe->scan;
-            pruned->scan.predicate =
-                pruned->scan.predicate == nullptr
-                    ? in_list
-                    : Expr::And(pruned->scan.predicate, in_list);
-            probe = pruned;
-          }
-        }
-      }
-      if (!probe_done) {
-        BL_ASSIGN_OR_RETURN(probe_batch,
-                            ExecuteNode(principal, probe, stats));
-      }
-      uint64_t matches = 0;
-      BL_ASSIGN_OR_RETURN(RecordBatch joined,
-                          ops::HashJoin(nullptr, build_batch, probe_batch,
-                                        build_keys, probe_keys, &matches));
-      ChargeCpu(build_batch.num_rows() * 4 + probe_batch.num_rows() + matches,
-                stats);
-      return joined;
-    }
-    case Node::Kind::kAggregate: {
-      // Aggregate pushdown: COUNT/SUM/MIN/MAX over a connector scan run
-      // server-side; only per-stream partials cross the wire.
-      const NodePtr& child = node->children[0];
-      bool pushable = options_.aggregate_pushdown &&
-                      child->kind == Node::Kind::kScan &&
-                      !child->scan.direct && !node->aggregates.empty();
-      for (const auto& spec : node->aggregates) {
-        if (spec.op == AggOp::kAvg) pushable = false;
-      }
-      if (pushable) {
-        ReadSessionOptions opts;
-        opts.predicate = child->scan.predicate;
-        opts.max_streams = options_.executors;
-        opts.aggregate_group_by = node->group_by;
-        opts.partial_aggregates = node->aggregates;
-        opts.use_block_cache = options_.use_block_cache;
-        opts.readahead_depth = options_.readahead_depth;
-        SimTimer plan_timer(env_->sim());
-        auto session = read_api_->CreateReadSession(
-            principal, child->scan.table_id, opts);
-        if (session.ok()) {
-          stats->wall_micros += plan_timer.ElapsedMicros();
-          ++stats->sessions_created;
-          ++stats->aggregates_pushed;
-          env_->sim().counters().Add("spark.aggregate_pushdowns", 1);
-          stats->files_scanned +=
-              session->files_total - session->files_pruned;
-          stats->files_pruned += session->files_pruned;
-          std::vector<RecordBatch> partials;
-          std::vector<SimMicros> elapsed;
-          for (size_t st = 0; st < session->streams.size(); ++st) {
-            SimTimer t(env_->sim());
-            BL_ASSIGN_OR_RETURN(RecordBatch b,
-                                read_api_->ReadStreamBatch(*session, st));
-            SimMicros e = t.ElapsedMicros();
-            stats->total_micros += e;
-            // Readahead hides part of the stream's I/O behind compute;
-            // the wall estimate (not resource time) shrinks accordingly.
-            SimMicros saved =
-                read_api_->StreamOverlapSaved(session->session_id, st);
-            elapsed.push_back(e > saved ? e - saved : 0);
-            partials.push_back(std::move(b));
-          }
-          std::sort(elapsed.rbegin(), elapsed.rend());
-          for (size_t i = 0; i < elapsed.size(); i += options_.executors) {
-            stats->wall_micros += elapsed[i];
-          }
-          BL_ASSIGN_OR_RETURN(RecordBatch merged,
-                              RecordBatch::Concat(partials));
-          ChargeCpu(merged.num_rows(), stats);
-          return MergePartialAggregates(merged, node->group_by,
-                                        node->aggregates);
-        }
-        // Fall through to client-side aggregation on session errors other
-        // than governance denials (those must still fail the query).
-        if (session.status().IsPermissionDenied() ||
-            session.status().code() == StatusCode::kUnauthenticated) {
-          return session.status();
-        }
-      }
-      BL_ASSIGN_OR_RETURN(RecordBatch in,
-                          ExecuteNode(principal, node->children[0], stats));
-      ChargeCpu(in.num_rows() * (node->aggregates.size() + 1), stats);
-      return ops::AggregateBatch(in, node->group_by, node->aggregates);
-    }
-    case Node::Kind::kSort: {
-      BL_ASSIGN_OR_RETURN(RecordBatch in,
-                          ExecuteNode(principal, node->children[0], stats));
-      ChargeCpu(in.num_rows(), stats);
-      return ops::SortBatch(in, node->sort_keys);
-    }
-    case Node::Kind::kLimit: {
-      BL_ASSIGN_OR_RETURN(RecordBatch in,
-                          ExecuteNode(principal, node->children[0], stats));
-      return in.Slice(0, node->limit);
-    }
-  }
-  return Status::Internal("unreachable dataframe node kind");
-}
-
-Result<RecordBatch> SparkLiteEngine::ExecuteScan(const Principal& principal,
-                                                 const ScanSpec& scan,
-                                                 SparkQueryStats* stats) {
-  return scan.direct ? DirectScan(scan, stats)
-                     : ConnectorScan(principal, scan, stats);
-}
-
-Result<RecordBatch> SparkLiteEngine::ReadSessionStreams(
-    const ReadSession& session, SparkQueryStats* stats) {
-  std::vector<RecordBatch> batches;
-  std::vector<SimMicros> elapsed;
-  for (size_t st = 0; st < session.streams.size(); ++st) {
-    SimTimer t(env_->sim());
-    BL_ASSIGN_OR_RETURN(RecordBatch b, read_api_->ReadStreamBatch(session, st));
-    SimMicros e = t.ElapsedMicros();
-    stats->total_micros += e;
-    SimMicros saved = read_api_->StreamOverlapSaved(session.session_id, st);
-    elapsed.push_back(e > saved ? e - saved : 0);
-    ChargeCpu(b.num_rows(), stats);
-    batches.push_back(std::move(b));
-  }
-  std::sort(elapsed.rbegin(), elapsed.rend());
-  for (size_t i = 0; i < elapsed.size(); i += options_.executors) {
-    stats->wall_micros += elapsed[i];
-  }
-  if (batches.empty()) return RecordBatch::Empty(session.output_schema);
-  return RecordBatch::Concat(batches);
-}
-
-Result<RecordBatch> SparkLiteEngine::ConnectorScan(const Principal& principal,
-                                                   const ScanSpec& scan,
-                                                   SparkQueryStats* stats) {
-  // Driver: create the session with projection + predicate pushdown.
+Result<RecordBatch> SparkLiteEngine::PushedAggregate(
+    const Principal& principal, const Node& node, uint64_t snapshot_txn,
+    SparkQueryStats* stats) {
+  const Plan& agg = *node.op;
+  const ScanSpec& scan = node.children[0]->scan;
+  // The session requests no columns (= all): the direct read T-SPARK
+  // compares it with is not column-pruned either.
   ReadSessionOptions opts;
-  opts.columns = scan.columns;
   opts.predicate = scan.predicate;
+  opts.snapshot_txn = snapshot_txn;
   opts.max_streams = options_.executors;
-  opts.use_block_cache = options_.use_block_cache;
-  opts.readahead_depth = options_.readahead_depth;
+  opts.aggregate_group_by = agg.group_by;
+  opts.partial_aggregates = agg.aggregates;
   SimTimer plan_timer(env_->sim());
   BL_ASSIGN_OR_RETURN(
       ReadSession session,
       read_api_->CreateReadSession(principal, scan.table_id, opts));
-  SimMicros plan_cost = plan_timer.ElapsedMicros();
-  stats->wall_micros += plan_cost;
-  stats->total_micros += plan_cost;
-  ++stats->sessions_created;
+  stats->wall_micros += plan_timer.ElapsedMicros();
+  ++stats->aggregates_pushed;
+  env_->sim().counters().Add("spark.aggregate_pushdowns", 1);
   stats->files_scanned += session.files_total - session.files_pruned;
   stats->files_pruned += session.files_pruned;
-
-  // Executors: parallel stream reads; wall time = slowest stream per wave.
-  std::vector<RecordBatch> batches;
+  stats->read_streams += session.streams.size();
+  // Executors read the streams in waves; each wave's wall time is its
+  // slowest stream.
+  std::vector<RecordBatch> partials;
   std::vector<SimMicros> elapsed;
   for (size_t s = 0; s < session.streams.size(); ++s) {
     SimTimer t(env_->sim());
     BL_ASSIGN_OR_RETURN(RecordBatch b, read_api_->ReadStreamBatch(session, s));
-    SimMicros e = t.ElapsedMicros();
-    stats->total_micros += e;
-    SimMicros saved = read_api_->StreamOverlapSaved(session.session_id, s);
-    elapsed.push_back(e > saved ? e - saved : 0);
-    // Arrow-native ingestion: negligible copy cost, tiny per-row handling.
-    ChargeCpu(b.num_rows(), stats);
-    batches.push_back(std::move(b));
+    elapsed.push_back(t.ElapsedMicros());
+    partials.push_back(std::move(b));
   }
   std::sort(elapsed.rbegin(), elapsed.rend());
   for (size_t i = 0; i < elapsed.size(); i += options_.executors) {
     stats->wall_micros += elapsed[i];
   }
-  if (batches.empty()) return RecordBatch::Empty(session.output_schema);
-  return RecordBatch::Concat(batches);
+  BL_ASSIGN_OR_RETURN(RecordBatch merged, RecordBatch::Concat(partials));
+  ChargeCpu(merged.num_rows(), stats);
+  return MergePartialAggregates(merged, agg.group_by, agg.aggregates);
 }
 
 Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,

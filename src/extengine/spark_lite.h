@@ -1,21 +1,27 @@
 // Spark-lite: a third-party analytics engine consuming BigLake through the
 // Storage Read API (Sec 3.2, 3.4).
 //
-// Models the Spark + Spark-BigQuery-Connector stack:
-//   * A DataFrame API (filter / select / join / aggregate / collect).
-//   * A DataSourceV2-style connector: the driver calls CreateReadSession
-//     (pushing down projection + predicates), executors read the returned
-//     streams in parallel, and Arrow-lite batches flow in with encodings
-//     preserved (minimal copies).
-//   * Session statistics (Sec 3.4): when enabled, the connector uses the
-//     table statistics returned by CreateReadSession for join build-side
-//     selection and dynamic partition pruning. DPP *re-creates* the read
-//     session with the new IN-list predicate — the server-side session cost
-//     the paper calls out — which still wins when pruning is selective.
-//   * A *direct* scan path reading Parquet-lite straight from object
-//     storage with bucket credentials: the ungoverned baseline that BigLake
-//     price-performance is compared against. No fine-grained security, no
-//     metadata cache: LIST + footer peeks every query.
+// Models the Spark + Spark-BigQuery-Connector stack as a front-end over the
+// engine's planner and executor:
+//   * A DataFrame API (filter / select / join / aggregate / order by /
+//     limit / collect). A filter or select directly over a connector scan
+//     folds into it, the way DataSourceV2 pushes predicates and projections
+//     into the connector.
+//   * Collect lowers the DataFrame to an engine Plan and runs it on one
+//     QueryEngine built from SparkOptions, so Spark-lite reads go through
+//     the same Read API sessions, logical optimizer (filter and column
+//     pushdown), table statistics (build-side selection), dynamic partition
+//     pruning and kernels as BigQuery's own queries (Sec 3.4). Each query
+//     pins one metadata snapshot.
+//   * Two leaves the engine cannot run materialize first, as Plan::Values:
+//       - A COUNT/SUM/MIN/MAX aggregate directly over a connector scan runs
+//         as a Read API partial-aggregate session (DataSourceV2 aggregate
+//         pushdown); only per-stream partials come back and are merged.
+//       - A *direct* scan reads Parquet-lite straight from object storage
+//         with bucket credentials: the ungoverned baseline that BigLake
+//         price-performance is compared against. No fine-grained security,
+//         no metadata cache: LIST + footer peeks every query.
+//     Their simulated wall time and file counts add to the engine's stats.
 //
 // The engine is untrusted by design: everything it receives from the Read
 // API is post-governance. Its only trusted path is the direct scan, which
@@ -29,48 +35,23 @@
 #include <vector>
 
 #include "core/read_api.h"
+#include "engine/engine.h"
 #include "engine/plan.h"
 
 namespace biglake {
 
 struct SparkOptions {
+  /// Executor count: the engine's worker pool size and read-stream fan-out.
   uint32_t executors = 8;
-  /// Use CreateReadSession statistics for build-side selection + DPP.
+  /// Use table statistics for build-side selection and dynamic partition
+  /// pruning (Sec 3.4). Off = joins run as written, without DPP.
   bool use_session_stats = true;
-  bool dynamic_partition_pruning = true;
-  uint64_t dpp_max_keys = 4096;
-  /// Reuse the probe scan's read session for DPP (RefineSession) instead
-  /// of re-creating it (Sec 3.4 future work, implemented).
-  bool reuse_read_sessions = true;
-  /// Push COUNT/SUM/MIN/MAX (DataSourceV2-style partial aggregates) into
-  /// the Read API so only per-stream partials come back (Sec 3.4 future
-  /// work, implemented).
-  bool aggregate_pushdown = true;
-  /// Spark-lite CPU per value: JVM row processing is costlier than the
-  /// server-side vectorized pipeline.
-  double cpu_micros_per_value = 0.004;
-  /// Route connector scans through the environment's columnar block cache
-  /// (src/cache/). The cache is shared with BigQuery-side scans, so either
-  /// engine's reads warm the other's (the paper's shared caching layer).
-  /// Requires the cache to have capacity (LakehouseEnv::ConfigureBlockCache
-  /// or an engine with enable_block_cache).
-  bool use_block_cache = false;
-  /// Per-stream readahead window for the Read API's prefetching pipeline.
-  uint32_t readahead_depth = 0;
 };
 
-struct SparkQueryStats {
-  SimMicros wall_micros = 0;
-  SimMicros total_micros = 0;
-  uint64_t rows_returned = 0;
-  uint64_t sessions_created = 0;  // includes DPP session re-creation
-  uint64_t files_scanned = 0;
-  uint64_t files_pruned = 0;
-  uint64_t build_side_swaps = 0;
-  uint64_t dpp_scans = 0;
+/// The engine's query stats plus what only Spark-lite's own leaves count.
+struct SparkQueryStats : QueryStats {
   uint64_t direct_list_calls = 0;
   uint64_t aggregates_pushed = 0;
-  uint64_t sessions_refined = 0;  // DPP via RefineSession
 };
 
 struct SparkResult {
@@ -103,6 +84,8 @@ class DataFrame {
   friend class SparkLiteEngine;
   DataFrame(SparkLiteEngine* engine, NodePtr node)
       : engine_(engine), node_(std::move(node)) {}
+  /// A node applying `op` to `children`.
+  DataFrame Over(PlanPtr op, std::vector<NodePtr> children) const;
 
   SparkLiteEngine* engine_ = nullptr;
   NodePtr node_;
@@ -111,8 +94,7 @@ class DataFrame {
 class SparkLiteEngine {
  public:
   SparkLiteEngine(LakehouseEnv* env, StorageReadApi* read_api,
-                  SparkOptions options = {})
-      : env_(env), read_api_(read_api), options_(options) {}
+                  SparkOptions options = {});
 
   const SparkOptions& options() const { return options_; }
 
@@ -137,43 +119,33 @@ class SparkLiteEngine {
     ExprPtr predicate;                   // pushdown predicate
   };
 
-  Result<RecordBatch> ExecuteNode(const Principal& principal,
-                                  const DataFrame::NodePtr& node,
-                                  SparkQueryStats* stats);
-  Result<RecordBatch> ExecuteScan(const Principal& principal,
-                                  const ScanSpec& scan,
-                                  SparkQueryStats* stats);
-  Result<RecordBatch> ConnectorScan(const Principal& principal,
-                                    const ScanSpec& scan,
-                                    SparkQueryStats* stats);
-  /// Reads every stream of a session with wave-based wall accounting.
-  Result<RecordBatch> ReadSessionStreams(const ReadSession& session,
-                                         SparkQueryStats* stats);
+  /// The engine plan for `node`; direct scans and pushed aggregates run
+  /// here and become Values leaves.
+  Result<PlanPtr> Lower(const Principal& principal,
+                        const DataFrame::NodePtr& node, uint64_t snapshot_txn,
+                        SparkQueryStats* stats);
+  Result<RecordBatch> PushedAggregate(const Principal& principal,
+                                      const DataFrame::Node& node,
+                                      uint64_t snapshot_txn,
+                                      SparkQueryStats* stats);
   Result<RecordBatch> DirectScan(const ScanSpec& scan,
                                  SparkQueryStats* stats);
-  uint64_t EstimateRows(const Principal& principal,
-                        const DataFrame::NodePtr& node);
   void ChargeCpu(uint64_t values, SparkQueryStats* stats);
 
   LakehouseEnv* env_;
   StorageReadApi* read_api_;
   SparkOptions options_;
+  QueryEngine query_engine_;
 };
 
 /// Node of the DataFrame plan (header-visible so DataFrame methods can
 /// build trees; treat as private to this module).
 struct DataFrame::Node {
-  enum class Kind { kScan, kFilter, kSelect, kJoin, kAggregate, kSort, kLimit };
-  Kind kind = Kind::kScan;
+  /// The operator as an engine plan node whose children Collect lowers
+  /// from `children`; null for a scan leaf, which `scan` describes.
+  PlanPtr op;
   std::vector<NodePtr> children;
   SparkLiteEngine::ScanSpec scan;
-  ExprPtr predicate;
-  std::vector<std::string> columns;
-  std::vector<std::string> left_keys, right_keys;
-  std::vector<std::string> group_by;
-  std::vector<AggSpec> aggregates;
-  std::vector<SortKey> sort_keys;
-  uint64_t limit = 0;
 };
 
 }  // namespace biglake

@@ -5,6 +5,7 @@
 
 #include "columnar/aggregate.h"
 #include "core/read_api.h"
+#include "engine/engine.h"
 #include "extengine/spark_lite.h"
 #include "lakehouse_fixture.h"
 
@@ -197,37 +198,31 @@ TEST_F(AggregatePushdownTest, GovernanceStillAppliesUnderPushdown) {
 }
 
 TEST_F(AggregatePushdownTest, SparkUsesPushdownAutomatically) {
-  SparkOptions with_pd;
-  SparkLiteEngine spark(&lake_, &api_, with_pd);
-  auto result = spark.ReadBigLake("ds.sales")
-                    .Aggregate({"region"}, {{AggOp::kCount, "", "n"},
-                                            {AggOp::kSum, "qty", "q"}})
-                    .Collect("u");
-  ASSERT_TRUE(result.ok());
+  const std::vector<AggSpec> aggs = {{AggOp::kCount, "", "n"},
+                                     {AggOp::kSum, "qty", "q"}};
+  SparkLiteEngine spark(&lake_, &api_);
+  auto result =
+      spark.ReadBigLake("ds.sales").Aggregate({"region"}, aggs).Collect("u");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stats.aggregates_pushed, 1u);
 
-  SparkOptions no_pd;
-  no_pd.aggregate_pushdown = false;
-  SparkLiteEngine plain(&lake_, &api_, no_pd);
-  auto reference = plain.ReadBigLake("ds.sales")
-                       .Aggregate({"region"}, {{AggOp::kCount, "", "n"},
-                                               {AggOp::kSum, "qty", "q"}})
-                       .Collect("u");
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(reference->stats.aggregates_pushed, 0u);
+  // Reference: the engine aggregating the same scan client-side.
+  QueryEngine engine(&lake_, &api_);
+  auto reference = engine.Execute(
+      "u", Plan::Aggregate(Plan::Scan("ds.sales"), {"region"}, aggs));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  // Same answers, sorted by region for comparison.
-  ASSERT_EQ(result->batch.num_rows(), reference->batch.num_rows());
-  auto key = [](const RecordBatch& b, size_t r) {
-    return b.GetValue(r, 0).string_value();
+  // Same answers, keyed by region.
+  auto by_region = [](const RecordBatch& b) {
+    std::map<std::string, std::vector<Value>> m;
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      m[b.GetValue(r, 0).string_value()] = {b.GetValue(r, 1),
+                                            b.GetValue(r, 2)};
+    }
+    return m;
   };
-  std::map<std::string, int64_t> got, want;
-  for (size_t r = 0; r < result->batch.num_rows(); ++r) {
-    got[key(result->batch, r)] = result->batch.GetValue(r, 1).int64_value();
-    want[key(reference->batch, r)] =
-        reference->batch.GetValue(r, 1).int64_value();
-  }
-  EXPECT_TRUE(got == want);
+  ASSERT_EQ(result->batch.num_rows(), reference->batch.num_rows());
+  EXPECT_TRUE(by_region(result->batch) == by_region(reference->batch));
 }
 
 TEST_F(AggregatePushdownTest, AvgFallsBackToClientSide) {

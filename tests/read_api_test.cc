@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "columnar/aggregate.h"
 #include "columnar/ipc.h"
 #include "core/read_api.h"
 #include "lakehouse_fixture.h"
@@ -370,6 +373,70 @@ TEST_F(ReadApiTest, PredicateOnDeniedColumnRejectsSession) {
   auto hr = api_.CreateReadSession("user:hr-analyst", "ds.people", opts);
   ASSERT_TRUE(hr.ok());
   EXPECT_EQ(ReadAll(&api_, *hr).num_rows(), 99u);
+}
+
+// A pushed aggregate reads its inputs and group keys, so they are governed
+// like requested columns even when the session does not project them: a
+// denied one fails the session, a masked one is aggregated masked.
+TEST_F(ReadApiTest, PushedAggregateColumnsAreGoverned) {
+  CreatePeopleTable(&biglake_);
+  ReadSessionOptions sum_salary;
+  sum_salary.columns = {"dept"};
+  sum_salary.partial_aggregates = {{AggOp::kSum, "salary", "total"}};
+  EXPECT_TRUE(
+      api_.CreateReadSession("user:eng-manager", "ds.people", sum_salary)
+          .status()
+          .IsPermissionDenied());
+  ReadSessionOptions by_salary;
+  by_salary.columns = {"dept"};
+  by_salary.aggregate_group_by = {"salary"};
+  by_salary.partial_aggregates = {{AggOp::kCount, "", "n"}};
+  EXPECT_TRUE(
+      api_.CreateReadSession("user:eng-manager", "ds.people", by_salary)
+          .status()
+          .IsPermissionDenied());
+  EXPECT_TRUE(
+      api_.CreateReadSession("user:hr-analyst", "ds.people", sum_salary).ok());
+
+  // GROUP BY a hash-masked column: the analyst's groups are the tokens,
+  // the privacy officer's the raw addresses.
+  ReadSessionOptions by_email;
+  by_email.columns = {"emp_id"};
+  by_email.aggregate_group_by = {"email"};
+  by_email.partial_aggregates = {{AggOp::kCount, "", "n"}};
+  auto group_keys = [&](const Principal& who) {
+    std::set<std::string> keys;
+    auto session = api_.CreateReadSession(who, "ds.people", by_email);
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    if (!session.ok()) return keys;
+    auto merged = MergePartialAggregates(ReadAll(&api_, *session), {"email"},
+                                         by_email.partial_aggregates);
+    EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+    if (!merged.ok()) return keys;
+    for (size_t r = 0; r < merged->num_rows(); ++r) {
+      keys.insert(merged->GetValue(r, 0).string_value());
+    }
+    return keys;
+  };
+  ReadSessionOptions emails;
+  emails.columns = {"email"};
+  auto analyst_view =
+      api_.CreateReadSession("user:hr-analyst", "ds.people", emails);
+  ASSERT_TRUE(analyst_view.ok());
+  RecordBatch tokens = ReadAll(&api_, *analyst_view);
+  std::set<std::string> masked;
+  for (size_t r = 0; r < tokens.num_rows(); ++r) {
+    masked.insert(tokens.GetValue(r, 0).string_value());
+  }
+  const std::set<std::string> analyst = group_keys("user:hr-analyst");
+  EXPECT_EQ(analyst.size(), 300u);
+  EXPECT_EQ(analyst, masked);
+  for (const std::string& k : analyst) {
+    EXPECT_EQ(k.find('@'), std::string::npos) << k;
+  }
+  const std::set<std::string> officer = group_keys("user:privacy-officer");
+  EXPECT_EQ(officer.size(), 300u);
+  EXPECT_EQ(officer.count("emp3@acme.com"), 1u);
 }
 
 TEST_F(ReadApiTest, SnapshotReadsSeePointInTime) {

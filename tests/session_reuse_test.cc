@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/blmt.h"
 #include "core/read_api.h"
-#include "extengine/spark_lite.h"
 #include "lakehouse_fixture.h"
 
 namespace biglake {
@@ -89,46 +87,6 @@ TEST_F(RefineSessionTest, ChainsAndValidates) {
   EXPECT_TRUE(api_.RefineSession(*base, Expr::IsNull(Expr::Col("zzz")))
                   .status()
                   .IsNotFound());
-}
-
-TEST_F(RefineSessionTest, SparkDppUsesRefinementWhenEnabled) {
-  // Small dim selecting one date.
-  BlmtService blmt(&lake_);
-  TableDef dim;
-  dim.dataset = "ds";
-  dim.name = "dates";
-  dim.schema = MakeSchema({{"date_key", DataType::kInt64, false}});
-  dim.connection = "us.lake-conn";
-  dim.location = gcp_;
-  dim.bucket = "lake";
-  dim.prefix = "dates/";
-  dim.iam.Grant("*", Role::kWriter);
-  ASSERT_TRUE(blmt.CreateTable(dim).ok());
-  BatchBuilder b(dim.schema);
-  ASSERT_TRUE(b.AppendRow({Value::Int64(3)}).ok());
-  ASSERT_TRUE(blmt.Insert("u", "ds.dates", b.Finish()).ok());
-
-  SparkOptions reuse_on;
-  SparkLiteEngine spark(&lake_, &api_, reuse_on);
-  auto result = spark.ReadBigLake("ds.dates")
-                    .Join(spark.ReadBigLake("ds.fact"), {"date_key"},
-                          {"date"})
-                    .Collect("u");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->batch.num_rows(), 40u);
-  EXPECT_EQ(result->stats.dpp_scans, 1u);
-  EXPECT_EQ(result->stats.sessions_refined, 1u);
-
-  SparkOptions reuse_off;
-  reuse_off.reuse_read_sessions = false;
-  SparkLiteEngine legacy(&lake_, &api_, reuse_off);
-  auto legacy_result = legacy.ReadBigLake("ds.dates")
-                           .Join(legacy.ReadBigLake("ds.fact"), {"date_key"},
-                                 {"date"})
-                           .Collect("u");
-  ASSERT_TRUE(legacy_result.ok());
-  EXPECT_EQ(legacy_result->stats.sessions_refined, 0u);
-  EXPECT_EQ(legacy_result->batch.num_rows(), result->batch.num_rows());
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <set>
+
 #include "core/blmt.h"
+#include "engine/engine.h"
 #include "extengine/spark_lite.h"
 #include "lakehouse_fixture.h"
+#include "workload/tpcds_lite.h"
 
 namespace biglake {
 namespace {
@@ -33,7 +40,7 @@ TEST_F(SparkLiteTest, ConnectorScanReadsAllRows) {
   auto result = spark.ReadBigLake("ds.sales").Collect("user:x");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->batch.num_rows(), 200u);
-  EXPECT_GE(result->stats.sessions_created, 1u);
+  EXPECT_GE(result->stats.read_streams, 1u);
 }
 
 TEST_F(SparkLiteTest, FilterPushesDownIntoConnector) {
@@ -119,7 +126,7 @@ TEST_F(SparkLiteTest, SessionStatsDriveBuildSideSwap) {
   EXPECT_EQ(dumb_result->batch.num_rows(), result->batch.num_rows());
 }
 
-TEST_F(SparkLiteTest, DppRecreatesSessionAndPrunes) {
+TEST_F(SparkLiteTest, DppPushesInListAndPrunes) {
   CreateLakeTable("fact", 10, 40);
   TableDef dim;
   dim.dataset = "ds";
@@ -142,10 +149,9 @@ TEST_F(SparkLiteTest, DppRecreatesSessionAndPrunes) {
                     .Collect("u");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->batch.num_rows(), 40u);
+  // The fact scan's one session carried the IN-list and pruned with it.
   EXPECT_EQ(result->stats.dpp_scans, 1u);
   EXPECT_GE(result->stats.files_pruned, 9u);
-  // DPP recreated the fact read session.
-  EXPECT_GE(result->stats.sessions_created, 2u);
 }
 
 TEST_F(SparkLiteTest, GovernanceAppliesIdenticallyToSparkReads) {
@@ -193,6 +199,42 @@ TEST_F(SparkLiteTest, MaskedColumnFilterSeesMaskedValues) {
   auto officer = df.Collect("user:privacy-officer");
   ASSERT_TRUE(officer.ok()) << officer.status().ToString();
   EXPECT_EQ(officer->batch.num_rows(), 1u);
+}
+
+// A pushed aggregate folds only what the caller may see: it agrees with
+// the engine aggregating its governed scan, and a denied input fails it.
+TEST_F(SparkLiteTest, PushedAggregateIsGovernedLikeTheEngine) {
+  CreatePeopleTable(&biglake_);
+  SparkLiteEngine spark = MakeSpark();
+  QueryEngine engine(&lake_, &api_);
+  const std::vector<AggSpec> aggs = {{AggOp::kCount, "", "n"},
+                                     {AggOp::kMax, "salary", "top"}};
+  for (const char* group : {"dept", "email"}) {
+    SCOPED_TRACE(group);
+    auto pushed = spark.ReadBigLake("ds.people")
+                      .Aggregate({group}, aggs)
+                      .Collect("user:hr-analyst");
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+    EXPECT_EQ(pushed->stats.aggregates_pushed, 1u);
+    auto want = engine.Execute(
+        "user:hr-analyst",
+        Plan::Aggregate(Plan::Scan("ds.people"), {group}, aggs));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(pushed->batch.num_rows(), want->batch.num_rows());
+    std::set<Value> got_keys;
+    std::set<Value> want_keys;
+    for (size_t r = 0; r < pushed->batch.num_rows(); ++r) {
+      got_keys.insert(pushed->batch.GetValue(r, 0));
+      want_keys.insert(want->batch.GetValue(r, 0));
+    }
+    EXPECT_TRUE(got_keys == want_keys);
+    EXPECT_EQ(got_keys.count(Value::String("emp3@acme.com")), 0u);
+  }
+  auto denied = spark.ReadBigLake("ds.people")
+                    .Select({"dept"})
+                    .Aggregate({"dept"}, {{AggOp::kSum, "salary", "total"}})
+                    .Collect("user:eng-manager");
+  EXPECT_TRUE(denied.status().IsPermissionDenied());
 }
 
 TEST_F(SparkLiteTest, DirectScanBypassesGovernanceButPaysListing) {
@@ -295,6 +337,282 @@ TEST_F(SparkLiteTest, OrderByAndLimit) {
   ASSERT_EQ(result->batch.num_rows(), 3u);
   EXPECT_EQ((*result->batch.ColumnByName("id"))->GetValue(0),
             Value::Int64(29));
+}
+
+
+// ---- Differential: Spark-lite vs the engine ---------------------------------
+
+using Rows = std::vector<std::vector<Value>>;
+
+Rows SortedRows(const RecordBatch& batch) {
+  Rows rows(batch.num_rows());
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      rows[r].push_back(batch.GetValue(r, c));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Empty when equal: same column names, same sorted rows, doubles within
+/// 1e-9 relative (partial aggregates add in another order).
+std::string Diff(const RecordBatch& got, const RecordBatch& want) {
+  std::vector<std::string> got_names;
+  std::vector<std::string> want_names;
+  for (const Field& f : got.schema()->fields()) got_names.push_back(f.name);
+  for (const Field& f : want.schema()->fields()) want_names.push_back(f.name);
+  if (got_names != want_names) return "schemas differ";
+  Rows a = SortedRows(got);
+  Rows b = SortedRows(want);
+  if (a.size() != b.size()) {
+    return "row counts " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size());
+  }
+  for (size_t r = 0; r < a.size(); ++r) {
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      const Value& x = a[r][c];
+      const Value& y = b[r][c];
+      if (x.is_double() && y.is_double()) {
+        const double tol =
+            1e-9 * std::max({1.0, std::fabs(x.double_value()),
+                             std::fabs(y.double_value())});
+        if (std::fabs(x.double_value() - y.double_value()) <= tol) continue;
+      }
+      if (!(x == y)) {
+        return "row " + std::to_string(r) + " col " + std::to_string(c) +
+               ": " + x.ToString() + " vs " + y.ToString();
+      }
+    }
+  }
+  return "";
+}
+
+/// Small TPC-H-lite and TPC-DS-lite worlds: lineitem and store_sales live on
+/// object storage (store_sales hive-partitioned by ss_sold_date), the rest
+/// are BLMTs.
+class SparkEngineDifferentialTest : public LakehouseFixture {
+ protected:
+  SparkEngineDifferentialTest()
+      : api_(&lake_), biglake_(&lake_), blmt_(&lake_) {
+    TpchScale h;
+    h.lineitem_rows = 3000;
+    h.num_orders = 600;
+    h.num_customers = 60;
+    h.num_files = 6;
+    auto tpch = SetupTpch(&lake_, &biglake_, &blmt_, store_, "lake", "tpch/",
+                          "ds", h, "us.lake-conn");
+    EXPECT_TRUE(tpch.ok()) << tpch.status().ToString();
+    if (tpch.ok()) tpch_ = *tpch;
+    TpcdsScale d;
+    d.days = 8;
+    d.rows_per_day = 300;
+    d.num_items = 60;
+    d.num_customers = 80;
+    d.num_stores = 6;
+    auto tpcds = SetupTpcds(&lake_, &biglake_, &blmt_, store_, "lake",
+                            "tpcds/", "ds", d, /*cached=*/true,
+                            "us.lake-conn");
+    EXPECT_TRUE(tpcds.ok()) << tpcds.status().ToString();
+    if (tpcds.ok()) tpcds_ = *tpcds;
+  }
+
+  /// One query shape: the DataFrame and the hand-built engine plan that
+  /// must return the same rows.
+  struct Shape {
+    std::string name;
+    std::function<DataFrame(SparkLiteEngine&)> frame;
+    PlanPtr plan;
+  };
+
+  std::vector<Shape> Shapes() const {
+    const TpchTables h = tpch_;
+    const TpcdsTables d = tpcds_;
+    ExprPtr early = Expr::Lt(Expr::Col("l_shipdate"),
+                             Expr::Lit(Value::Int64(90)));
+    ExprPtr building = Expr::Eq(Expr::Col("cu_mktsegment"),
+                                Expr::Lit(Value::String("BUILDING")));
+    ExprPtr holiday = Expr::Eq(Expr::Col("d_is_holiday"),
+                               Expr::Lit(Value::Bool(true)));
+    std::vector<AggSpec> pushable = {
+        {AggOp::kCount, "", "n"},
+        {AggOp::kSum, "l_extendedprice", "revenue"},
+        {AggOp::kMin, "l_quantity", "min_qty"},
+        {AggOp::kMax, "l_shipdate", "last_ship"}};
+    std::vector<AggSpec> avg = {{AggOp::kAvg, "l_discount", "avg_disc"},
+                                {AggOp::kCount, "", "n"}};
+    std::vector<AggSpec> revenue = {
+        {AggOp::kSum, "l_extendedprice", "revenue"}};
+    std::vector<AggSpec> profit = {{AggOp::kSum, "ss_net_profit", "profit"}};
+    std::vector<AggSpec> sales = {{AggOp::kSum, "ss_sales_price", "sales"},
+                                  {AggOp::kCount, "", "n"}};
+    return {
+        {"scan", [=](SparkLiteEngine& e) { return e.ReadBigLake(h.orders); },
+         Plan::Scan(h.orders)},
+        {"filter_select",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.lineitem)
+               .Filter(early)
+               .Select({"l_orderkey", "l_extendedprice"});
+         },
+         Plan::Project(Plan::Filter(Plan::Scan(h.lineitem), early),
+                       {"l_orderkey", "l_extendedprice"},
+                       {Expr::Col("l_orderkey"),
+                        Expr::Col("l_extendedprice")})},
+        {"join_small_left",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.customer)
+               .Join(e.ReadBigLake(h.orders), {"cu_custkey"}, {"o_custkey"});
+         },
+         Plan::HashJoin(Plan::Scan(h.customer), Plan::Scan(h.orders),
+                        {"cu_custkey"}, {"o_custkey"})},
+        {"join_big_left",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.orders)
+               .Join(e.ReadBigLake(h.customer), {"o_custkey"}, {"cu_custkey"});
+         },
+         Plan::HashJoin(Plan::Scan(h.orders), Plan::Scan(h.customer),
+                        {"o_custkey"}, {"cu_custkey"})},
+        {"filter_select_over_join",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.orders)
+               .Join(e.ReadBigLake(h.customer), {"o_custkey"}, {"cu_custkey"})
+               .Filter(building)
+               .Select({"o_orderkey", "cu_mktsegment"});
+         },
+         Plan::Project(
+             Plan::Filter(
+                 Plan::HashJoin(Plan::Scan(h.orders), Plan::Scan(h.customer),
+                                {"o_custkey"}, {"cu_custkey"}),
+                 building),
+             {"o_orderkey", "cu_mktsegment"},
+             {Expr::Col("o_orderkey"), Expr::Col("cu_mktsegment")})},
+        {"q3_join_sort_limit",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.customer)
+               .Filter(building)
+               .Join(e.ReadBigLake(h.orders), {"cu_custkey"}, {"o_custkey"})
+               .Join(e.ReadBigLake(h.lineitem), {"o_orderkey"},
+                     {"l_orderkey"})
+               .Aggregate({"o_orderkey"}, revenue)
+               .OrderBy({{"revenue", true}})
+               .Limit(10);
+         },
+         Plan::Limit(
+             Plan::OrderBy(
+                 Plan::Aggregate(
+                     Plan::HashJoin(
+                         Plan::HashJoin(
+                             Plan::Filter(Plan::Scan(h.customer), building),
+                             Plan::Scan(h.orders), {"cu_custkey"},
+                             {"o_custkey"}),
+                         Plan::Scan(h.lineitem), {"o_orderkey"},
+                         {"l_orderkey"}),
+                     {"o_orderkey"}, revenue),
+                 {{"revenue", true}}),
+             10)},
+        {"snowflake_dpp",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(d.date_dim)
+               .Filter(holiday)
+               .Join(e.ReadBigLake(d.store_sales), {"d_date_key"},
+                     {"ss_sold_date"})
+               .Aggregate({}, profit);
+         },
+         Plan::Aggregate(
+             Plan::HashJoin(Plan::Filter(Plan::Scan(d.date_dim), holiday),
+                            Plan::Scan(d.store_sales), {"d_date_key"},
+                            {"ss_sold_date"}),
+             {}, profit)},
+        {"pushable_aggregate",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.lineitem)
+               .Filter(early)
+               .Aggregate({"l_returnflag"}, pushable);
+         },
+         Plan::Aggregate(Plan::Scan(h.lineitem, {}, early), {"l_returnflag"},
+                         pushable)},
+        {"avg_aggregate",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(h.lineitem).Aggregate({"l_returnflag"}, avg);
+         },
+         Plan::Aggregate(Plan::Scan(h.lineitem), {"l_returnflag"}, avg)},
+        {"aggregate_over_join",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(d.store_sales)
+               .Join(e.ReadBigLake(d.customer), {"ss_customer_id"},
+                     {"c_customer_id"})
+               .Aggregate({"c_region"}, sales);
+         },
+         Plan::Aggregate(
+             Plan::HashJoin(Plan::Scan(d.store_sales), Plan::Scan(d.customer),
+                            {"ss_customer_id"}, {"c_customer_id"}),
+             {"c_region"}, sales)},
+    };
+  }
+
+  StorageReadApi api_;
+  BigLakeTableService biglake_;
+  BlmtService blmt_;
+  TpchTables tpch_;
+  TpcdsTables tpcds_;
+};
+
+TEST_F(SparkEngineDifferentialTest, SameRowsAsTheEngineAtAnyExecutorCount) {
+  for (uint32_t executors : {1u, 2u, 8u}) {
+    SparkOptions opts;
+    opts.executors = executors;
+    SparkLiteEngine spark(&lake_, &api_, opts);
+    EngineOptions engine_opts;
+    engine_opts.num_workers = executors;
+    QueryEngine engine(&lake_, &api_, engine_opts);
+    for (const Shape& shape : Shapes()) {
+      SCOPED_TRACE(shape.name + " @ " + std::to_string(executors));
+      auto got = shape.frame(spark).Collect("u");
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto want = engine.Execute("u", shape.plan);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_GT(want->batch.num_rows(), 0u);
+      EXPECT_EQ(Diff(got->batch, want->batch), "");
+      if (shape.name == "snowflake_dpp") {
+        EXPECT_EQ(got->stats.dpp_scans, 1u);
+        EXPECT_GT(got->stats.files_pruned, 0u);
+      }
+      EXPECT_EQ(got->stats.aggregates_pushed,
+                shape.name == "pushable_aggregate" ? 1u : 0u);
+    }
+  }
+}
+
+TEST_F(SparkEngineDifferentialTest, RepeatedCollectIsBitIdentical) {
+  SparkOptions opts;
+  opts.executors = 8;
+  SparkLiteEngine spark(&lake_, &api_, opts);
+  for (const Shape& shape : Shapes()) {
+    SCOPED_TRACE(shape.name);
+    DataFrame df = shape.frame(spark);
+    SimMicros t0 = lake_.sim().clock().Now();
+    auto first = df.Collect("u");
+    SimMicros t1 = lake_.sim().clock().Now();
+    auto second = df.Collect("u");
+    SimMicros t2 = lake_.sim().clock().Now();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(SerializeBatch(first->batch), SerializeBatch(second->batch));
+    EXPECT_EQ(t1 - t0, t2 - t1);
+    const SparkQueryStats& a = first->stats;
+    const SparkQueryStats& b = second->stats;
+    EXPECT_EQ(a.wall_micros, b.wall_micros);
+    EXPECT_EQ(a.total_micros, b.total_micros);
+    EXPECT_EQ(a.rows_returned, b.rows_returned);
+    EXPECT_EQ(a.files_scanned, b.files_scanned);
+    EXPECT_EQ(a.files_pruned, b.files_pruned);
+    EXPECT_EQ(a.read_streams, b.read_streams);
+    EXPECT_EQ(a.build_side_swaps, b.build_side_swaps);
+    EXPECT_EQ(a.dpp_scans, b.dpp_scans);
+    EXPECT_EQ(a.direct_list_calls, b.direct_list_calls);
+    EXPECT_EQ(a.aggregates_pushed, b.aggregates_pushed);
+  }
 }
 
 }  // namespace
