@@ -26,11 +26,12 @@ do_docs()  { "$ROOT/scripts/check_metrics_doc.sh"; }
 # Expression-kernel correctness must never depend on the compiler actually
 # vectorizing the flat loops: rebuild with auto-vectorization disabled and
 # re-run the columnar/engine/kernel suites (join kernel, the kernels-vs-
-# reference differential test and the optimizer's differential test
-# included) against the same assertions.
+# reference differential test, the group-by kernel's differential test and
+# the optimizer's differential test included) against the same assertions.
 do_novec() {
   local tests="columnar_test engine_test expr_kernels_test \
-    expr_differential_test join_kernel_test optimizer_test"
+    expr_differential_test join_kernel_test aggregate_kernel_test \
+    optimizer_test"
   cmake -B "$ROOT/build-novec" -S "$ROOT" \
     -DCMAKE_CXX_FLAGS=-fno-tree-vectorize
   # shellcheck disable=SC2086

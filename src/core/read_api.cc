@@ -228,6 +228,9 @@ Result<PrunedFiles> StorageReadApi::CollectFiles(const TableDef& table,
       meta = std::move(owned);
     }
     entry.file.row_count = meta->total_rows;
+    if (result.files.empty() && result.pruned == 0) {
+      result.first_partition = entry.file.partition;
+    }
     for (size_t c = 0; c < meta->schema->num_fields(); ++c) {
       entry.file.column_stats[meta->schema->field(c).name] =
           meta->FileColumnStats(c);
@@ -368,25 +371,36 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
 
   // Output schema: requested columns, with mask-induced type changes.
   // Requested hive partition columns (not stored in the files) are served
-  // as virtual columns; their type comes from the cached partition values.
-  std::vector<Field> out_fields;
-  for (const auto& name : requested) {
+  // as virtual columns; their type comes from the first candidate file's
+  // partition values, so pruning every file does not change it.
+  auto output_field = [&](const std::string& name) -> Field {
     int idx = table->schema->FieldIndex(name);
     if (idx >= 0) {
-      out_fields.push_back(MaskedField(table->schema->field(idx),
-                                       access.masked_columns));
-      continue;
+      return MaskedField(table->schema->field(idx), access.masked_columns);
     }
     DataType t = DataType::kInt64;
-    for (const auto& f : pruned.files) {
-      for (const auto& [pcol, pval] : f.file.partition) {
-        if (pcol == name && pval.is_string()) t = DataType::kString;
-      }
-      break;
+    for (const auto& [pcol, pval] : pruned.first_partition) {
+      if (pcol == name && pval.is_string()) t = DataType::kString;
     }
-    out_fields.push_back({name, t, false});
-  }
+    return {name, t, false};
+  };
+  std::vector<Field> out_fields;
+  for (const auto& name : requested) out_fields.push_back(output_field(name));
   session.output_schema = MakeSchema(std::move(out_fields));
+  if (!options.partial_aggregates.empty()) {
+    // A pushed-aggregate stream returns partial aggregates, not the
+    // projection: their schema is that of the aggregate over the (masked)
+    // columns the session reads.
+    std::vector<Field> read_fields;
+    for (const auto& name : governed) {
+      read_fields.push_back(output_field(name));
+    }
+    BL_ASSIGN_OR_RETURN(
+        session.output_schema,
+        AggregateOutputSchema(Schema(std::move(read_fields)),
+                              options.aggregate_group_by,
+                              options.partial_aggregates));
+  }
   session.streams = AssignStreams(std::move(pruned.files),
                                   options.max_streams, session.session_id);
 
@@ -738,7 +752,9 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
     // projection.
     requested = state.read_columns;
   }
-  std::vector<RecordBatch> pushdown_inputs;
+  // Aggregate pushdown folds every block into one accumulator, built on
+  // the first block (whose schema the others share).
+  std::optional<HashAggregator> pushdown;
   uint64_t values_processed = 0;
   if (stream_index < state.overlap_saved.size()) {
     state.overlap_saved[stream_index] = 0;
@@ -834,7 +850,15 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
 
       if (!state.options.partial_aggregates.empty()) {
         // Aggregate pushdown: accumulate; one partial batch per stream.
-        pushdown_inputs.push_back(std::move(secured));
+        if (!pushdown.has_value()) {
+          BL_ASSIGN_OR_RETURN(
+              pushdown,
+              HashAggregator::Make(secured.schema(),
+                                   state.options.aggregate_group_by,
+                                   state.options.partial_aggregates));
+        }
+        BL_RETURN_NOT_OK(pushdown->Add(secured));
+        values_processed += secured.num_rows();
         continue;
       }
 
@@ -1013,14 +1037,10 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
     env_->sim().counters().Add("readapi.prefetch_overlap_saved_micros", saved);
   }
   if (!state.options.partial_aggregates.empty()) {
+    // A stream that read no rows answers zero partial-aggregate rows.
     RecordBatch merged = RecordBatch::Empty(session.output_schema);
-    if (!pushdown_inputs.empty()) {
-      BL_ASSIGN_OR_RETURN(RecordBatch all,
-                          RecordBatch::Concat(pushdown_inputs));
-      values_processed += all.num_rows();
-      BL_ASSIGN_OR_RETURN(
-          merged, AggregateBatch(all, state.options.aggregate_group_by,
-                                 state.options.partial_aggregates));
+    if (pushdown.has_value()) {
+      BL_ASSIGN_OR_RETURN(merged, pushdown->Finish(/*final_step=*/false));
     }
     rows_streamed += merged.num_rows();
     BatchHandle handle = BatchHandle::Local(std::move(merged));

@@ -94,7 +94,8 @@ struct ReadStream {
 struct ReadSession {
   std::string session_id;
   std::string table_id;
-  SchemaPtr output_schema;  // post-projection
+  /// Post-projection; for a pushed aggregate, its partial-aggregate rows.
+  SchemaPtr output_schema;
   std::vector<ReadStream> streams;
   /// Table statistics from Big Metadata (Sec 3.4): external engines use
   /// these for join reordering and dynamic partition pruning. Empty when

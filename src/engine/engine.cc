@@ -552,15 +552,15 @@ Result<RecordBatch> QueryEngine::ExecuteAggregate(const SelectedBatch& input,
   ChargeCpu(input.num_rows() *
                 (agg.aggregates.size() + agg.group_by.size() + 1),
             stats);
-  if (options_.num_workers > 1 &&
-      input.num_rows() >= options_.parallel_row_threshold) {
-    // Chunked partial aggregation on the pool, merged in chunk order.
-    return ops::ParallelAggregate(pool(), input.batch, agg.group_by,
-                                  agg.aggregates, 4096, sel);
-  }
-  return ops::AggregateBatch(input.batch, agg.group_by, agg.aggregates,
-                             sel != nullptr ? sel->data() : nullptr,
-                             sel != nullptr ? sel->size() : 0);
+  obs::AddCurrentSpanNum("input_rows", input.num_rows());
+  ops::AggregateStats agg_stats;
+  BL_ASSIGN_OR_RETURN(
+      RecordBatch out,
+      ops::ParallelAggregate(pool(), input.batch, agg.group_by,
+                             agg.aggregates, sel, &agg_stats));
+  obs::AddCurrentSpanNum("groups", agg_stats.groups);
+  obs::AddCurrentSpanNum("chunks", agg_stats.chunks);
+  return out;
 }
 
 }  // namespace biglake

@@ -19,8 +19,9 @@
 //     actual work-stealing thread pool. Scans fan one pool task out per
 //     read stream (the paper's unit of scan parallelism) and concatenate
 //     batches in stream order; joins probe fixed row chunks across the
-//     pool and concatenate their matches in chunk order; large
-//     aggregations compute chunked partial states merged in chunk order.
+//     pool and concatenate their matches in chunk order; aggregations build
+//     typed partial states per fixed 4096-row chunk and fold them in chunk
+//     order (at one worker too, so SUM/AVG match to the last bit).
 //     Every parallel region charges simulated costs into per-task shards
 //     that are folded back serial-equivalently (see common/sim_env.h), so
 //     query results, cost counters and the virtual clock are bit-identical
@@ -58,11 +59,6 @@ struct EngineOptions {
   uint64_t dpp_max_keys = 4096;
   /// CPU cost per value flowing through a vectorized operator.
   double cpu_micros_per_value = 0.002;
-  /// Aggregations go parallel only past this many input rows; below it the
-  /// serial kernel runs (no pool overhead). Scans parallelize per read
-  /// stream whenever num_workers > 1; join probes run in fixed chunks on
-  /// the pool at any size.
-  uint64_t parallel_row_threshold = 8192;
   /// Read-stream fan-out requested per scan session. 0 = one stream per
   /// worker. A fixed value decouples the query shape (stream partitioning,
   /// and with it row order and fault/retry schedules) from the pool size,

@@ -1,12 +1,10 @@
 #include "engine/operators.h"
 
-#include "columnar/aggregate.h"
-
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <set>
 
+#include "columnar/key_column.h"
 #include "common/coding.h"
 #include "common/strings.h"
 
@@ -28,112 +26,6 @@ Result<std::vector<int>> ResolveColumns(const RecordBatch& batch,
     out.push_back(idx);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Typed join keys.
-// ---------------------------------------------------------------------------
-
-/// Key-equality class. EncodeColumnValue writes one value tag per class, so
-/// two non-NULL keys can be byte-equal only within the same class: INT64
-/// and TIMESTAMP share a class, as do STRING and BYTES (plain or
-/// dictionary-encoded).
-enum class KeyClass : uint8_t { kBool, kInt, kDouble, kString };
-
-KeyClass ClassOf(DataType t) {
-  if (t == DataType::kBool) return KeyClass::kBool;
-  if (t == DataType::kDouble) return KeyClass::kDouble;
-  if (IsStringPhysical(t)) return KeyClass::kString;
-  return KeyClass::kInt;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-/// Boxing-free view of one key column: plain data is read in place,
-/// dictionary strings through their indices (each entry hashed once), RLE
-/// runs decoded once. Within a class, equality is exactly the byte equality
-/// of EncodeColumnValue: int64 values, double bit patterns (so -0.0 != 0.0
-/// and equal NaN payloads match), bool truth values, string bytes.
-struct KeyColumn {
-  KeyClass cls = KeyClass::kInt;
-  const uint8_t* valid = nullptr;
-  const int64_t* i64 = nullptr;
-  const double* f64 = nullptr;
-  const uint8_t* b8 = nullptr;
-  const StringBuffer* strings = nullptr;  // plain values or the dictionary
-  const uint32_t* dict = nullptr;         // dictionary indices, if encoded
-  std::vector<int64_t> decoded;           // expanded RLE runs
-  std::vector<uint64_t> dict_hash;        // per dictionary entry
-
-  explicit KeyColumn(const Column& col) : cls(ClassOf(col.type())) {
-    if (col.has_validity()) valid = col.validity().data();
-    switch (col.encoding()) {
-      case Encoding::kPlain:
-        switch (cls) {
-          case KeyClass::kInt: i64 = col.int64_data().data(); break;
-          case KeyClass::kDouble: f64 = col.double_data().data(); break;
-          case KeyClass::kBool: b8 = col.bool_data().data(); break;
-          case KeyClass::kString: strings = &col.string_data(); break;
-        }
-        break;
-      case Encoding::kDictionary:
-        strings = &col.dictionary();
-        dict = col.dict_indices().data();
-        // Hash the dictionary once unless it dwarfs the column (a short
-        // slice over a large dictionary hashes its rows instead).
-        if (strings->size() <= col.length()) {
-          dict_hash.resize(strings->size());
-          for (size_t d = 0; d < strings->size(); ++d) {
-            dict_hash[d] = HashString((*strings)[d]);
-          }
-        }
-        break;
-      case Encoding::kRunLength: {
-        decoded.reserve(col.length());
-        const auto& values = col.run_values();
-        const auto& lengths = col.run_lengths();
-        for (size_t r = 0; r < values.size(); ++r) {
-          decoded.insert(decoded.end(), lengths[r], values[r]);
-        }
-        i64 = decoded.data();
-        break;
-      }
-    }
-  }
-
-  static uint64_t HashString(std::string_view s) {
-    return Mix64(std::hash<std::string_view>()(s));
-  }
-  std::string_view Str(uint32_t r) const {
-    return (*strings)[dict != nullptr ? dict[r] : r];
-  }
-  /// Row hash; for the fixed-width classes a bijection of the key.
-  uint64_t Hash(uint32_t r) const {
-    switch (cls) {
-      case KeyClass::kInt: return Mix64(static_cast<uint64_t>(i64[r]));
-      case KeyClass::kDouble: return Mix64(DoubleBits(f64[r]));
-      case KeyClass::kBool: return Mix64(b8[r] != 0 ? 1 : 0);
-      case KeyClass::kString:
-        return !dict_hash.empty() ? dict_hash[dict[r]] : HashString(Str(r));
-    }
-    return 0;
-  }
-};
-
-bool KeyEqual(const KeyColumn& a, uint32_t ra, const KeyColumn& b,
-              uint32_t rb) {
-  switch (a.cls) {
-    case KeyClass::kInt: return a.i64[ra] == b.i64[rb];
-    case KeyClass::kDouble:
-      return DoubleBits(a.f64[ra]) == DoubleBits(b.f64[rb]);
-    case KeyClass::kBool: return (a.b8[ra] != 0) == (b.b8[rb] != 0);
-    case KeyClass::kString: return a.Str(ra) == b.Str(rb);
-  }
-  return false;
 }
 
 /// One side of a join: its key columns and the logical -> original row map
@@ -303,8 +195,6 @@ Result<RecordBatch> HashJoin(ThreadPool* pool, const RecordBatch& build,
   b.n = build_sel != nullptr ? build_sel->size() : build.num_rows();
   p.sel = probe_sel;
   p.n = probe_sel != nullptr ? probe_sel->size() : probe.num_rows();
-  // Reserved up front: a KeyColumn's `i64` may point into its own
-  // `decoded` vector, so the key columns are never relocated.
   b.keys.reserve(build_cols.size());
   p.keys.reserve(probe_cols.size());
   bool comparable = true;
@@ -383,118 +273,17 @@ Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
                                       const RecordBatch& input,
                                       const std::vector<std::string>& group_by,
                                       const std::vector<AggSpec>& aggregates,
-                                      size_t grain_rows,
-                                      const std::vector<uint32_t>* selection) {
-  if (grain_rows == 0) grain_rows = 4096;
-  const size_t logical_rows =
-      selection != nullptr ? selection->size() : input.num_rows();
-  if (logical_rows <= grain_rows) {
-    return ::biglake::AggregateBatch(
-        input, group_by, aggregates,
-        selection != nullptr ? selection->data() : nullptr, logical_rows);
+                                      const std::vector<uint32_t>* selection,
+                                      AggregateStats* stats) {
+  BL_ASSIGN_OR_RETURN(HashAggregator agg,
+                      HashAggregator::Make(input.schema(), group_by,
+                                           aggregates));
+  BL_RETURN_NOT_OK(agg.AddChunked(pool, input, selection));
+  if (stats != nullptr) {
+    stats->groups = agg.num_groups();
+    stats->chunks = agg.num_chunks();
   }
-
-  // Decompose AVG into SUM + COUNT partials (AVG itself is not mergeable).
-  std::vector<AggSpec> partial_specs;
-  bool has_avg = false;
-  for (const AggSpec& spec : aggregates) {
-    if (spec.op == AggOp::kAvg) {
-      has_avg = true;
-      partial_specs.push_back(
-          {AggOp::kSum, spec.input, "__avg_sum:" + spec.output});
-      partial_specs.push_back(
-          {AggOp::kCount, spec.input, "__avg_cnt:" + spec.output});
-    } else {
-      partial_specs.push_back(spec);
-    }
-  }
-
-  // Chunking depends only on grain_rows, never on the pool width, so the
-  // partial-sum tree — and thus any floating-point result — is identical
-  // for every parallel configuration.
-  size_t num_chunks = (logical_rows + grain_rows - 1) / grain_rows;
-  std::vector<RecordBatch> partials(num_chunks);
-  BL_RETURN_NOT_OK(pool->ParallelFor(num_chunks, [&](size_t c) -> Status {
-    size_t begin = c * grain_rows;
-    size_t count = std::min(grain_rows, logical_rows - begin);
-    if (selection != nullptr) {
-      // Chunk the selection itself — the aggregate kernel walks the id
-      // subspan directly, so no column data is copied per chunk.
-      BL_ASSIGN_OR_RETURN(
-          partials[c],
-          ::biglake::AggregateBatch(input, group_by, partial_specs,
-                                    selection->data() + begin, count));
-    } else {
-      BL_ASSIGN_OR_RETURN(
-          partials[c],
-          ::biglake::AggregateBatch(input.Slice(begin, count), group_by,
-                                    partial_specs));
-    }
-    return Status::OK();
-  }));
-
-  BL_ASSIGN_OR_RETURN(RecordBatch all, RecordBatch::Concat(partials));
-  BL_ASSIGN_OR_RETURN(RecordBatch merged,
-                      MergePartialAggregates(all, group_by, partial_specs));
-  if (!has_avg) return merged;
-
-  // Recompose AVG columns: group columns, then the specs in their original
-  // order — the same output schema AggregateBatch produces.
-  std::vector<Field> fields;
-  std::vector<int> group_cols;
-  for (const auto& g : group_by) {
-    int idx = merged.schema()->FieldIndex(g);
-    if (idx < 0) return Status::Internal("merged partials lost group column");
-    group_cols.push_back(idx);
-    fields.push_back(merged.schema()->field(static_cast<size_t>(idx)));
-  }
-  struct SpecSource {
-    int direct = -1;  // column in `merged` for non-AVG specs
-    int sum = -1, cnt = -1;
-  };
-  std::vector<SpecSource> sources;
-  for (const AggSpec& spec : aggregates) {
-    SpecSource src;
-    if (spec.op == AggOp::kAvg) {
-      src.sum = merged.schema()->FieldIndex("__avg_sum:" + spec.output);
-      src.cnt = merged.schema()->FieldIndex("__avg_cnt:" + spec.output);
-      if (src.sum < 0 || src.cnt < 0) {
-        return Status::Internal("merged partials lost AVG components");
-      }
-      fields.push_back({spec.output, DataType::kDouble, true});
-    } else {
-      src.direct = merged.schema()->FieldIndex(spec.output);
-      if (src.direct < 0) {
-        return Status::Internal("merged partials lost aggregate column");
-      }
-      fields.push_back(
-          merged.schema()->field(static_cast<size_t>(src.direct)));
-    }
-    sources.push_back(src);
-  }
-  BatchBuilder builder(MakeSchema(std::move(fields)));
-  for (size_t r = 0; r < merged.num_rows(); ++r) {
-    std::vector<Value> row;
-    for (int g : group_cols) {
-      row.push_back(merged.GetValue(r, static_cast<size_t>(g)));
-    }
-    for (const SpecSource& src : sources) {
-      if (src.direct >= 0) {
-        row.push_back(merged.GetValue(r, static_cast<size_t>(src.direct)));
-        continue;
-      }
-      Value sum = merged.GetValue(r, static_cast<size_t>(src.sum));
-      Value cnt = merged.GetValue(r, static_cast<size_t>(src.cnt));
-      if (sum.is_null() || cnt.is_null() || cnt.int64_value() == 0) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(Value::Double(
-            sum.AsDouble() / static_cast<double>(cnt.int64_value())));
-      }
-    }
-    BL_RETURN_NOT_OK(builder.AppendRow(row));
-  }
-  return builder.Finish();
+  return agg.Finish(/*final_step=*/true);
 }
 
 Result<RecordBatch> SortBatch(const RecordBatch& input,

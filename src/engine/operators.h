@@ -43,31 +43,28 @@ Result<RecordBatch> HashJoin(ThreadPool* pool, const RecordBatch& build,
                              const std::vector<uint32_t>* build_sel = nullptr,
                              const std::vector<uint32_t>* probe_sel = nullptr);
 
-/// Hash group-by; forwards to the shared columnar kernel (which the Read
-/// API also uses for server-side aggregate pushdown).
-inline Result<RecordBatch> AggregateBatch(
-    const RecordBatch& input, const std::vector<std::string>& group_by,
-    const std::vector<AggSpec>& aggregates,
-    const uint32_t* selection = nullptr, size_t selection_size = 0) {
-  return ::biglake::AggregateBatch(input, group_by, aggregates, selection,
-                                   selection_size);
-}
+/// What ParallelAggregate did, for the operator's profile span.
+struct AggregateStats {
+  uint64_t groups = 0;  // distinct groups found
+  uint64_t chunks = 0;  // fixed-size partial-aggregation chunks
+};
 
-/// Parallel hash group-by: the input is cut into fixed `grain_rows` chunks
-/// (chunking depends only on the data, not the worker count), each chunk is
-/// partially aggregated on `pool`, and the partials are merged in chunk
-/// order. AVG is decomposed into SUM+COUNT partials and recomposed after
-/// the merge. COUNT/MIN/MAX results are exactly those of AggregateBatch;
-/// SUM/AVG over doubles may differ from the serial kernel in floating-point
-/// rounding (the summation tree differs) but are identical run-to-run for
-/// any pool size > 1.
+/// The engine's hash group-by (the columnar HashAggregator, which the Read
+/// API also uses for server-side aggregate pushdown). The input is cut into
+/// fixed kAggregateChunkRows-row chunks (chunking depends only on the data,
+/// not the worker count), each chunk builds typed partial states on `pool`,
+/// and the states fold in chunk order. Every result — SUM/AVG included — is
+/// therefore bit-identical at every pool size, one worker included. This is
+/// a query's final aggregation: with no GROUP BY it returns one row even
+/// over no input. `selection`, when non-null, restricts the input to those
+/// strictly ascending row ids without copying them.
 Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
                                       const RecordBatch& input,
                                       const std::vector<std::string>& group_by,
                                       const std::vector<AggSpec>& aggregates,
-                                      size_t grain_rows = 4096,
                                       const std::vector<uint32_t>* selection =
-                                          nullptr);
+                                          nullptr,
+                                      AggregateStats* stats = nullptr);
 
 /// Stable multi-key sort in Value::Compare order (NULL first). `selection`,
 /// when non-null, restricts (and pre-orders) the input to the selected row

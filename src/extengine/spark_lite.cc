@@ -218,9 +218,10 @@ Result<RecordBatch> SparkLiteEngine::PushedAggregate(
   for (size_t i = 0; i < elapsed.size(); i += options_.executors) {
     stats->wall_micros += elapsed[i];
   }
-  BL_ASSIGN_OR_RETURN(RecordBatch merged, RecordBatch::Concat(partials));
-  ChargeCpu(merged.num_rows(), stats);
-  return MergePartialAggregates(merged, agg.group_by, agg.aggregates);
+  size_t partial_rows = 0;
+  for (const RecordBatch& p : partials) partial_rows += p.num_rows();
+  ChargeCpu(partial_rows, stats);
+  return MergePartialAggregates(partials, agg.group_by, agg.aggregates);
 }
 
 Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,

@@ -169,6 +169,7 @@ Result<PrunedFiles> BigMetadataStore::PruneFiles(const std::string& table_id,
                       Snapshot(table_id, txn));
   PrunedFiles result;
   result.candidates = files.size();
+  if (!files.empty()) result.first_partition = files[0].file.partition;
   if (predicate == nullptr) {
     result.files = std::move(files);
     return result;

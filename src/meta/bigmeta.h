@@ -64,6 +64,10 @@ struct PrunedFiles {
   std::vector<CachedFileMeta> files;
   uint64_t candidates = 0;  // files considered
   uint64_t pruned = 0;      // files eliminated by stats/partitions
+  /// Hive partition values of the first candidate, pruned or not: they
+  /// type the table's virtual partition columns even when every file is
+  /// pruned.
+  std::vector<std::pair<std::string, Value>> first_partition;
 };
 
 class BigMetadataStore;

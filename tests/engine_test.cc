@@ -298,6 +298,35 @@ TEST_F(EngineTest, GlobalAggregateNoGroups) {
   EXPECT_EQ(result->batch.GetValue(0, 0), Value::Int64(60));
 }
 
+// A filter over a non-scan input that keeps no row leaves an empty
+// selection: the aggregate above it sees no rows, not the whole batch.
+TEST_F(EngineTest, AggregateOverAFilterThatKeepsNoRow) {
+  auto schema = MakeSchema({{"g", DataType::kInt64, false},
+                            {"x", DataType::kInt64, false}});
+  RecordBatch values(schema, {Column::MakeInt64({1, 2, 2}),
+                              Column::MakeInt64({5, 6, 7})});
+  ExprPtr none = Expr::Lt(Expr::Col("x"), Expr::Lit(Value::Int64(0)));
+  for (uint32_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(workers);
+    EngineOptions opts;
+    opts.num_workers = workers;
+    QueryEngine engine = MakeEngine(opts);
+    auto global = engine.Execute(
+        "u", Plan::Aggregate(Plan::Filter(Plan::Values(values), none), {},
+                             {{AggOp::kCount, "", "n"},
+                              {AggOp::kSum, "x", "s"}}));
+    ASSERT_TRUE(global.ok()) << global.status().ToString();
+    ASSERT_EQ(global->batch.num_rows(), 1u);
+    EXPECT_EQ(global->batch.GetValue(0, 0), Value::Int64(0));
+    EXPECT_TRUE(global->batch.GetValue(0, 1).is_null());
+    auto grouped = engine.Execute(
+        "u", Plan::Aggregate(Plan::Filter(Plan::Values(values), none), {"g"},
+                             {{AggOp::kCount, "", "n"}}));
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    EXPECT_EQ(grouped->batch.num_rows(), 0u);
+  }
+}
+
 TEST_F(EngineTest, OrderByAndLimit) {
   CreateLakeTable("sales", 1, 50);
   QueryEngine engine = MakeEngine();

@@ -705,7 +705,7 @@ PlanPtr DetQuery(const TpcdsTables& t) {
 TpcdsScale DetScale() {
   TpcdsScale scale;
   scale.days = 4;
-  scale.rows_per_day = 2000;  // crosses the parallel_row_threshold
+  scale.rows_per_day = 2000;  // several 4096-row aggregation chunks
   return scale;
 }
 

@@ -54,7 +54,7 @@ struct World {
 TpcdsScale BigScale() {
   TpcdsScale scale;
   scale.days = 6;
-  scale.rows_per_day = 2000;  // crosses the parallel_row_threshold
+  scale.rows_per_day = 2000;  // several 4096-row aggregation chunks
   return scale;
 }
 
@@ -88,6 +88,14 @@ void CollectKinds(const obs::Span* span, std::set<std::string>* kinds) {
   for (const auto& child : span->children()) {
     CollectKinds(child.get(), kinds);
   }
+}
+
+const obs::Span* FindSpan(const obs::Span* span, const std::string& name) {
+  if (span->name() == name) return span;
+  for (const auto& child : span->children()) {
+    if (const obs::Span* found = FindSpan(child.get(), name)) return found;
+  }
+  return nullptr;
 }
 
 // Simulated costs must sum consistently: every span's children fit inside
@@ -134,6 +142,15 @@ TEST(ObsProfileDeterminismTest, TpcdsProfileHasFourLevelsAndConsistentSums) {
   EXPECT_EQ(profile.root()->sim_micros(), result->stats.total_micros);
   EXPECT_EQ(profile.root()->nums().at("rows_returned"),
             result->stats.rows_returned);
+
+  // The aggregate span attributes its work like the join's build/probe
+  // rows: input rows, distinct groups and fixed 4096-row chunks.
+  const obs::Span* agg = FindSpan(profile.root(), "op:aggregate");
+  ASSERT_NE(agg, nullptr);
+  const uint64_t input_rows = agg->nums().at("input_rows");
+  EXPECT_GT(input_rows, 4096u);
+  EXPECT_EQ(agg->nums().at("groups"), result->batch.num_rows());
+  EXPECT_EQ(agg->nums().at("chunks"), (input_rows + 4095) / 4096);
 
   // Exports render without error and agree on shape.
   std::string text = profile.ToText();

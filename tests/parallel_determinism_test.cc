@@ -1,8 +1,8 @@
 // Determinism of real multi-threaded execution: the same query on the same
 // data must produce bit-identical batches, cost counters and QueryStats no
-// matter how the OS schedules the pool — and (for everything except the
-// floating-point summation order of large SUM/AVG aggregations) identical
-// to the pool-size-1 compatibility mode.
+// matter how the OS schedules the pool — and identical to the pool-size-1
+// compatibility mode, SUM/AVG included (aggregation folds fixed 4096-row
+// chunks in chunk order at every worker count).
 
 #include <gtest/gtest.h>
 
@@ -46,9 +46,8 @@ struct World {
   }
 };
 
-// Large enough that fact scans cross the parallel_row_threshold, so the
-// chunked aggregation path actually executes (join probes run on the pool
-// at any size).
+// Large enough that fact scans span several 4096-row aggregation chunks,
+// so chunk partials really fold (join probes run on the pool at any size).
 TpcdsScale BigScale() {
   TpcdsScale scale;
   scale.days = 6;
@@ -184,16 +183,18 @@ TEST(ParallelDeterminismTest, ParallelAggregateMatchesSerialOnExactAggs) {
 TEST(ParallelDeterminismTest, SumAndAvgAreStableAcrossParallelRuns) {
   TpcdsScale scale = BigScale();
   World w1(scale);
-  World w2(scale);
+  World w8(scale);
 
-  EngineOptions opts;
-  opts.num_workers = 8;
-  QueryEngine e1(&w1.lake, &w1.api, opts);
-  QueryEngine e2(&w2.lake, &w2.api, opts);
+  EngineOptions serial;
+  serial.num_workers = 1;
+  EngineOptions parallel;
+  parallel.num_workers = 8;
+  QueryEngine e1(&w1.lake, &w1.api, serial);
+  QueryEngine e8(&w8.lake, &w8.api, parallel);
 
-  // SUM/AVG may differ from the *serial* kernel in the last float bit, but
-  // chunking is fixed by grain_rows, so parallel runs agree bit-for-bit
-  // with each other regardless of scheduling.
+  // Chunking is fixed at 4096 rows and the chunk partials fold in chunk
+  // order at any worker count, so even floating-point SUM/AVG agree
+  // bit-for-bit between a one-worker and an eight-worker run.
   auto agg = [](const TpcdsTables& t) {
     return Plan::Aggregate(Plan::Scan(t.store_sales), {"ss_store_id"},
                            {{AggOp::kSum, "ss_sales_price", "revenue"},
@@ -201,7 +202,7 @@ TEST(ParallelDeterminismTest, SumAndAvgAreStableAcrossParallelRuns) {
   };
   for (int round = 0; round < 3; ++round) {
     auto a = e1.Execute("u", agg(w1.tables));
-    auto b = e2.Execute("u", agg(w2.tables));
+    auto b = e8.Execute("u", agg(w8.tables));
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ASSERT_GT(a->batch.num_rows(), 0u);

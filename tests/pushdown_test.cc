@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "columnar/aggregate.h"
+#include "reference_eval.h"
 #include "core/read_api.h"
 #include "engine/engine.h"
 #include "extengine/spark_lite.h"
@@ -36,7 +37,7 @@ TEST(MergePartialsTest, MergesCountsSumsMinsMaxes) {
                                 {AggOp::kSum, "x", "s"},
                                 {AggOp::kMin, "x", "lo"},
                                 {AggOp::kMax, "x", "hi"}};
-  auto merged = MergePartialAggregates(b.Finish(), {"g"}, specs);
+  auto merged = MergePartialAggregates({b.Finish()}, {"g"}, specs);
   ASSERT_TRUE(merged.ok());
   ASSERT_EQ(merged->num_rows(), 2u);
   // Group "a".
@@ -54,9 +55,9 @@ TEST(MergePartialsTest, RejectsAvgAndUnknownColumns) {
   std::vector<Column> cols{Column::MakeInt64({1})};
   RecordBatch partials(schema, std::move(cols));
   EXPECT_FALSE(
-      MergePartialAggregates(partials, {}, {{AggOp::kAvg, "x", "n"}}).ok());
+      MergePartialAggregates({partials}, {}, {{AggOp::kAvg, "x", "n"}}).ok());
   EXPECT_FALSE(
-      MergePartialAggregates(partials, {}, {{AggOp::kSum, "x", "zz"}}).ok());
+      MergePartialAggregates({partials}, {}, {{AggOp::kSum, "x", "zz"}}).ok());
 }
 
 class AggregatePushdownTest : public LakehouseFixture {
@@ -85,7 +86,7 @@ TEST_F(AggregatePushdownTest, ServerSidePartialsMatchClientSideAggregation) {
                                 {AggOp::kSum, "qty", "total_qty"},
                                 {AggOp::kMin, "id", "min_id"},
                                 {AggOp::kMax, "id", "max_id"}};
-  auto reference = AggregateBatch(*all, {"region"}, specs);
+  auto reference = ReferenceAggregate(*all, {"region"}, specs);
   ASSERT_TRUE(reference.ok());
 
   // Pushdown path.
@@ -103,9 +104,7 @@ TEST_F(AggregatePushdownTest, ServerSidePartialsMatchClientSideAggregation) {
     EXPECT_LE(b->num_rows(), 4u);
     partials.push_back(*b);
   }
-  auto merged_in = RecordBatch::Concat(partials);
-  ASSERT_TRUE(merged_in.ok());
-  auto final_result = MergePartialAggregates(*merged_in, {"region"}, specs);
+  auto final_result = MergePartialAggregates(partials, {"region"}, specs);
   ASSERT_TRUE(final_result.ok());
 
   // Compare region -> (n, total, min, max) maps.
@@ -187,9 +186,7 @@ TEST_F(AggregatePushdownTest, GovernanceStillAppliesUnderPushdown) {
   for (size_t s = 0; s < session->streams.size(); ++s) {
     partials.push_back(*api_.ReadStreamBatch(*session, s));
   }
-  auto merged = RecordBatch::Concat(partials);
-  ASSERT_TRUE(merged.ok());
-  auto final_result = MergePartialAggregates(*merged, {"region"},
+  auto final_result = MergePartialAggregates(partials, {"region"},
                                              opts.partial_aggregates);
   ASSERT_TRUE(final_result.ok());
   // Only the "east" group exists: the row filter ran before aggregation.

@@ -409,8 +409,8 @@ TEST_F(ReadApiTest, PushedAggregateColumnsAreGoverned) {
     auto session = api_.CreateReadSession(who, "ds.people", by_email);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     if (!session.ok()) return keys;
-    auto merged = MergePartialAggregates(ReadAll(&api_, *session), {"email"},
-                                         by_email.partial_aggregates);
+    auto merged = MergePartialAggregates({ReadAll(&api_, *session)},
+                                         {"email"}, by_email.partial_aggregates);
     EXPECT_TRUE(merged.ok()) << merged.status().ToString();
     if (!merged.ok()) return keys;
     for (size_t r = 0; r < merged->num_rows(); ++r) {

@@ -1,4 +1,5 @@
-// A boxed, row-at-a-time expression evaluator kept only as a test oracle.
+// A boxed, row-at-a-time expression evaluator and group-by kept only as
+// test oracles.
 //
 // The system has one expression evaluator, the typed kernels in
 // columnar/kernels.h. This reference evaluates the same Expr trees the
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "columnar/aggregate.h"
 #include "columnar/batch.h"
 #include "columnar/expr.h"
 #include "common/status.h"
@@ -45,6 +47,38 @@ Result<Column> ReferencePredicate(const Expr& e, const RecordBatch& batch);
 
 /// The filter mask of a BOOL column: NULL -> 0 (excluded).
 std::vector<uint8_t> ReferenceMask(const Column& bool_col);
+
+// ---------------------------------------------------------------------------
+// Boxed aggregation: the oracle for the typed HashAggregator (aggregate.h).
+// Groups live in a std::map keyed by the EncodeColumnValue bytes of each
+// row's key, every cell is boxed through GetValue, MIN/MAX compare boxed
+// Values with `<`, and output goes through BatchBuilder — the definition
+// the typed kernel must match byte for byte, NaN and -0.0 included.
+// ---------------------------------------------------------------------------
+
+/// Serial group-by of `input` (only `selection`'s row ids, in order, when
+/// non-null): one partial step, so no input gives no row.
+Result<RecordBatch> ReferenceAggregate(
+    const RecordBatch& input, const std::vector<std::string>& group_by,
+    const std::vector<AggSpec>& aggregates,
+    const std::vector<uint32_t>* selection = nullptr);
+
+/// Merges partial aggregates row by row (COUNT and SUM partials add up,
+/// MIN/MAX re-min/max). `final_step` adds the one row a global aggregate
+/// returns over no input.
+Result<RecordBatch> ReferenceMergePartials(const RecordBatch& partials,
+                                           const std::vector<std::string>& group_by,
+                                           const std::vector<AggSpec>& specs,
+                                           bool final_step);
+
+/// The engine's final group-by: ReferenceAggregate per fixed
+/// kAggregateChunkRows-row chunk (AVG split into SUM and COUNT), the
+/// partials merged in chunk order, AVG recomposed, and the empty global
+/// row added.
+Result<RecordBatch> ReferenceChunkedAggregate(
+    const RecordBatch& input, const std::vector<std::string>& group_by,
+    const std::vector<AggSpec>& aggregates,
+    const std::vector<uint32_t>* selection = nullptr);
 
 }  // namespace biglake
 

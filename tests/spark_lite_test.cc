@@ -7,6 +7,7 @@
 
 #include "core/blmt.h"
 #include "engine/engine.h"
+#include "engine/sql_parser.h"
 #include "extengine/spark_lite.h"
 #include "lakehouse_fixture.h"
 #include "workload/tpcds_lite.h"
@@ -53,6 +54,72 @@ TEST_F(SparkLiteTest, FilterPushesDownIntoConnector) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->batch.num_rows(), 50u);
   EXPECT_EQ(result->stats.files_pruned, 7u);  // pushdown reached BigLake
+}
+
+// A pushed aggregate whose predicate prunes every file reads no rows; its
+// streams answer zero partial-aggregate rows and the global aggregate
+// still returns its one SQL row (COUNT 0, SUM NULL).
+TEST_F(SparkLiteTest, PushedAggregateOverPrunedFilesReturnsOneRow) {
+  CreateLakeTable("sales", 4, 50);
+  QueryEngine engine(&lake_, &api_);
+  ExprPtr none = Expr::Eq(Expr::Col("date"), Expr::Lit(Value::Int64(99)));
+  const std::vector<AggSpec> aggs = {{AggOp::kCount, "", "n"},
+                                     {AggOp::kSum, "qty", "units"}};
+  for (uint32_t executors : {1u, 2u, 8u}) {
+    SCOPED_TRACE(executors);
+    SparkOptions opts;
+    opts.executors = executors;
+    SparkLiteEngine spark = MakeSpark(opts);
+    auto got = spark.ReadBigLake("ds.sales")
+                   .Filter(none)
+                   .Aggregate({}, aggs)
+                   .Collect("user:x");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->stats.aggregates_pushed, 1u);
+    EXPECT_EQ(got->stats.files_pruned, 4u);
+    ASSERT_EQ(got->batch.num_rows(), 1u);
+    EXPECT_EQ(got->batch.GetValue(0, 0), Value::Int64(0));
+    EXPECT_TRUE(got->batch.GetValue(0, 1).is_null());
+    auto want = engine.Execute(
+        "user:x", Plan::Aggregate(Plan::Scan("ds.sales", {}, none), {}, aggs));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(SerializeBatch(got->batch), SerializeBatch(want->batch));
+  }
+}
+
+// A STRING hive partition column keeps its type when every file is pruned:
+// the empty pushed aggregate grouped by it has the schema of a non-empty one.
+TEST_F(SparkLiteTest, PrunedPushedAggregateKeepsStringPartitionType) {
+  for (int f = 0; f < 3; ++f) {
+    auto bytes = WriteParquetFile(SalesBatch(20, f * 1000, 200 + f));
+    ASSERT_TRUE(bytes.ok());
+    PutOptions po;
+    po.content_type = "application/x-parquet-lite";
+    ASSERT_TRUE(store_
+                    ->Put(GcpCaller(), "lake",
+                          "shops/shop=s" + std::to_string(f) + "/part-0.plk",
+                          *bytes, po)
+                    .ok());
+  }
+  TableDef def = MakeBigLakeDef("shops", "shops/");
+  def.partition_columns = {"shop"};
+  ASSERT_TRUE(biglake_.CreateBigLakeTable(def).ok());
+  SparkLiteEngine spark = MakeSpark();
+  auto run = [&](const char* shop) {
+    return spark.ReadBigLake("ds.shops")
+        .Filter(Expr::Eq(Expr::Col("shop"), Expr::Lit(Value::String(shop))))
+        .Aggregate({"shop"}, {{AggOp::kCount, "", "n"}})
+        .Collect("user:x");
+  };
+  auto none = run("zz");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->stats.files_pruned, 3u);
+  EXPECT_EQ(none->batch.num_rows(), 0u);
+  auto one = run("s1");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_EQ(one->batch.num_rows(), 1u);
+  EXPECT_EQ(one->batch.GetValue(0, 0), Value::String("s1"));
+  EXPECT_EQ(none->batch.schema()->ToString(), one->batch.schema()->ToString());
 }
 
 TEST_F(SparkLiteTest, SelectPushesProjection) {
@@ -434,6 +501,9 @@ class SparkEngineDifferentialTest : public LakehouseFixture {
                                 Expr::Lit(Value::String("BUILDING")));
     ExprPtr holiday = Expr::Eq(Expr::Col("d_is_holiday"),
                                Expr::Lit(Value::Bool(true)));
+    // A day past the data: every store_sales file is pruned.
+    ExprPtr no_day = Expr::Eq(Expr::Col("ss_sold_date"),
+                              Expr::Lit(Value::Int64(99)));
     std::vector<AggSpec> pushable = {
         {AggOp::kCount, "", "n"},
         {AggOp::kSum, "l_extendedprice", "revenue"},
@@ -537,6 +607,13 @@ class SparkEngineDifferentialTest : public LakehouseFixture {
            return e.ReadBigLake(h.lineitem).Aggregate({"l_returnflag"}, avg);
          },
          Plan::Aggregate(Plan::Scan(h.lineitem), {"l_returnflag"}, avg)},
+        {"pruned_pushed_aggregate",
+         [=](SparkLiteEngine& e) {
+           return e.ReadBigLake(d.store_sales)
+               .Filter(no_day)
+               .Aggregate({}, sales);
+         },
+         Plan::Aggregate(Plan::Scan(d.store_sales, {}, no_day), {}, sales)},
         {"aggregate_over_join",
          [=](SparkLiteEngine& e) {
            return e.ReadBigLake(d.store_sales)
@@ -579,8 +656,34 @@ TEST_F(SparkEngineDifferentialTest, SameRowsAsTheEngineAtAnyExecutorCount) {
         EXPECT_GT(got->stats.files_pruned, 0u);
       }
       EXPECT_EQ(got->stats.aggregates_pushed,
-                shape.name == "pushable_aggregate" ? 1u : 0u);
+                shape.name == "pushable_aggregate" ||
+                        shape.name == "pruned_pushed_aggregate"
+                    ? 1u
+                    : 0u);
     }
+  }
+}
+
+// SQL's empty global aggregate: no row passes the filter, and the engine
+// returns one row (COUNT 0, SUM NULL) at every worker count.
+TEST_F(SparkEngineDifferentialTest, EmptyGlobalAggregateReturnsOneRow) {
+  auto plan = ParseSql(
+      "SELECT COUNT(*) AS n, SUM(ss_sales_price) AS s FROM ds.store_sales "
+      "WHERE ss_sold_date = 99");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::string first;
+  for (uint32_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(workers);
+    EngineOptions opts;
+    opts.num_workers = workers;
+    QueryEngine engine(&lake_, &api_, opts);
+    auto got = engine.Execute("u", *plan);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->batch.num_rows(), 1u);
+    EXPECT_EQ(got->batch.GetValue(0, 0), Value::Int64(0));
+    EXPECT_TRUE(got->batch.GetValue(0, 1).is_null());
+    if (first.empty()) first = SerializeBatch(got->batch);
+    EXPECT_EQ(SerializeBatch(got->batch), first);
   }
 }
 
