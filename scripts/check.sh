@@ -42,10 +42,11 @@ do_novec() {
 }
 
 # Zero-copy buffer suite (`ctest -L zerocopy`) plus the columnar/engine/
-# cache suites, under ASan and TSan: shared-buffer views alias cached block
-# storage across threads and must outlive eviction, so lifetime bugs show
-# up as ASan use-after-free and unsynchronized refcount/counter traffic as
-# TSan reports.
+# cache suites and the chunked data flow, under ASan and TSan: shared-buffer
+# views (and the engine's scan chunks) alias cached block storage across
+# threads and must outlive eviction, so lifetime bugs show up as ASan
+# use-after-free and unsynchronized refcount/counter traffic as TSan
+# reports.
 do_zerocopy() {
   for dir in build-asan build-tsan; do
     if [[ ! -d "$ROOT/$dir" ]]; then
@@ -55,10 +56,10 @@ do_zerocopy() {
     cmake --build "$ROOT/$dir" -j "$JOBS" \
       --target buffer_test string_column_test ipc_robustness_test \
       batch_transport_test columnar_test engine_test block_cache_test \
-      cache_determinism_test
+      cache_determinism_test chunked_flow_test
     ctest --test-dir "$ROOT/$dir" -L zerocopy --output-on-failure
     for t in columnar_test engine_test block_cache_test \
-             cache_determinism_test; do
+             cache_determinism_test chunked_flow_test; do
       "$ROOT/$dir/tests/$t"
     done
   done

@@ -515,30 +515,58 @@ Status HashAggregator::Add(const RecordBatch& batch,
   return Status::OK();
 }
 
-Status HashAggregator::AddChunked(ThreadPool* pool, const RecordBatch& batch,
-                                  const std::vector<uint32_t>* selection) {
-  BL_ASSIGN_OR_RETURN(uint32_t src, AddSource(batch));
-  const size_t n = selection != nullptr ? selection->size() : batch.num_rows();
-  const size_t chunks = (n + kAggregateChunkRows - 1) / kAggregateChunkRows;
-  chunks_ += chunks;
-  std::vector<GroupTable> parts(chunks, GroupTable(specs_));
+Status HashAggregator::AddChunked(ThreadPool* pool,
+                                  const std::vector<SelectedBatch>& chunks) {
+  // One source per non-empty chunk, with the logical row each one starts at.
+  struct Piece {
+    uint32_t src;
+    const std::vector<uint32_t>* sel;
+    size_t begin;  // first logical row
+  };
+  std::vector<Piece> pieces;
+  size_t n = 0;
+  for (const SelectedBatch& chunk : chunks) {
+    if (chunk.num_rows() == 0) continue;
+    BL_ASSIGN_OR_RETURN(uint32_t src, AddSource(chunk.batch));
+    pieces.push_back(Piece{src, chunk.ids(), n});
+    n += chunk.num_rows();
+  }
+  const size_t cuts = (n + kAggregateChunkRows - 1) / kAggregateChunkRows;
+  chunks_ += cuts;
+  std::vector<GroupTable> parts(cuts, GroupTable(specs_));
   auto run = [&](size_t c) -> Status {
     const size_t begin = c * kAggregateChunkRows;
-    const size_t count = std::min(kAggregateChunkRows, n - begin);
-    if (selection != nullptr) {
-      Update(&parts[c], src, selection->data() + begin, count);
-    } else {
-      std::vector<uint32_t> ids(count);
-      std::iota(ids.begin(), ids.end(), static_cast<uint32_t>(begin));
-      Update(&parts[c], src, ids.data(), count);
+    const size_t end = std::min(n, begin + kAggregateChunkRows);
+    // The last piece starting at or before `begin`, then onwards.
+    size_t k = static_cast<size_t>(
+        std::upper_bound(pieces.begin(), pieces.end(), begin,
+                         [](size_t row, const Piece& p) {
+                           return row < p.begin;
+                         }) -
+        pieces.begin() - 1);
+    std::vector<uint32_t> ids;
+    for (size_t row = begin; row < end; ++k) {
+      const Piece& p = pieces[k];
+      const size_t piece_end =
+          k + 1 < pieces.size() ? pieces[k + 1].begin : n;
+      const size_t lo = row - p.begin;
+      const size_t count = std::min(end, piece_end) - row;
+      if (p.sel != nullptr) {
+        Update(&parts[c], p.src, p.sel->data() + lo, count);
+      } else {
+        ids.resize(count);
+        std::iota(ids.begin(), ids.end(), static_cast<uint32_t>(lo));
+        Update(&parts[c], p.src, ids.data(), count);
+      }
+      row += count;
     }
     return Status::OK();
   };
-  // One chunk runs on the caller: a pool hand-off would cost more.
-  if (pool != nullptr && chunks > 1) {
-    BL_RETURN_NOT_OK(pool->ParallelFor(chunks, run));
+  // One cut runs on the caller: a pool hand-off would cost more.
+  if (pool != nullptr && cuts > 1) {
+    BL_RETURN_NOT_OK(pool->ParallelFor(cuts, run));
   } else {
-    for (size_t c = 0; c < chunks; ++c) BL_RETURN_NOT_OK(run(c));
+    for (size_t c = 0; c < cuts; ++c) BL_RETURN_NOT_OK(run(c));
   }
   for (GroupTable& part : parts) Fold(groups_.get(), std::move(part));
   return Status::OK();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "columnar/batch.h"
+#include "columnar/chunked_batch.h"
 #include "common/thread_pool.h"
 
 namespace biglake {
@@ -83,16 +84,19 @@ class HashAggregator {
   Status Add(const RecordBatch& batch,
              const std::vector<uint32_t>* selection = nullptr);
 
-  /// As Add, but in fixed kAggregateChunkRows-row chunks: each chunk builds
-  /// typed partial states on `pool` (on the caller when null), and the
-  /// states fold into the groups in chunk order. SUM is thus 0.0 + p0 + p1
-  /// + ... over the chunks' partial sums, identical at every pool size.
-  Status AddChunked(ThreadPool* pool, const RecordBatch& batch,
-                    const std::vector<uint32_t>* selection = nullptr);
+  /// Folds the logical rows of `chunks` (each a batch plus an optional
+  /// selection, in order) in fixed kAggregateChunkRows-row cuts: each cut
+  /// builds typed partial states on `pool` (on the caller when null), and
+  /// the states fold into the groups in cut order. Cuts run over logical
+  /// rows, so one may span several chunks (it updates one partial from
+  /// each in turn) and the cut boundaries do not depend on how the rows
+  /// are chunked. SUM is thus 0.0 + p0 + p1 + ... over the cuts' partial
+  /// sums, identical at every pool size and for every chunking.
+  Status AddChunked(ThreadPool* pool, const std::vector<SelectedBatch>& chunks);
 
   /// Distinct groups seen so far.
   size_t num_groups() const;
-  /// Chunks AddChunked has cut so far.
+  /// Cuts AddChunked has made so far.
   size_t num_chunks() const { return chunks_; }
 
   /// The result batch, one row per group. `final_step` is for a query's

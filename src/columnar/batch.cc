@@ -87,8 +87,7 @@ RecordBatch RecordBatch::Slice(size_t offset, size_t count) const {
 Result<RecordBatch> RecordBatch::Concat(
     const std::vector<RecordBatch>& pieces) {
   if (pieces.empty()) return Status::InvalidArgument("Concat of zero batches");
-  // Single piece: a shared view, not a column-by-column deep copy (the
-  // common single-block-file case in ReadStreamBatch).
+  // Single piece: a shared view, not a column-by-column deep copy.
   if (pieces.size() == 1) return pieces[0];
   const SchemaPtr& schema = pieces[0].schema();
   std::vector<Column> cols;

@@ -46,8 +46,11 @@ class RecordBatch {
   /// any plain/dictionary sub-window) is a zero-copy shared view.
   RecordBatch Slice(size_t offset, size_t count) const;
 
-  /// Vertically concatenates batches sharing a schema. A single piece is
-  /// returned as a shared view without copying.
+  /// Vertically concatenates batches sharing a schema, column by column
+  /// (Column::Concat: a dictionary every piece shares is kept). A single
+  /// piece is returned as a shared view without copying. The engine's
+  /// contiguity points concatenate chunk lists instead, per column on the
+  /// pool (ChunkedBatch::Contiguous).
   static Result<RecordBatch> Concat(const std::vector<RecordBatch>& pieces);
 
   /// Boxed cell access (slow path, for tests and result printing).

@@ -198,6 +198,12 @@ class Buffer {
     return storage_ && storage_ == other.storage_;
   }
 
+  /// True if both are the very same view: one storage block, same window.
+  bool SameViewAs(const Buffer& other) const {
+    return storage_ == other.storage_ && offset_ == other.offset_ &&
+           length_ == other.length_;
+  }
+
   /// Storage refcount (test hook).
   long use_count() const { return storage_ ? storage_.use_count() : 0; }
 

@@ -344,76 +344,205 @@ Column Column::WithType(DataType type) const {
 }
 
 Result<Column> Column::Concat(const std::vector<Column>& pieces) {
-  if (pieces.empty()) return Status::InvalidArgument("Concat of zero columns");
-  DataType t = pieces[0].type();
-  for (const Column& p : pieces) {
-    if (p.type() != t) {
-      return Status::InvalidArgument("Concat of mismatched column types");
-    }
-  }
-  if (pieces.size() == 1) {
+  return ConcatRows(pieces, {});
+}
+
+Result<Column> Column::ConcatRows(
+    const std::vector<Column>& pieces,
+    const std::vector<const std::vector<uint32_t>*>& rows) {
+  if (pieces.size() == 1 && (rows.empty() || rows[0] == nullptr)) {
     // Shared view: a refcount bump on every backing buffer, no copy.
     BufferPool::Current().CountSlice();
     return pieces[0];
   }
+  BL_ASSIGN_OR_RETURN(ConcatJob job, ConcatJob::Make(pieces, rows));
+  job.Measure(0, job.num_pieces());
+  job.Allocate();
+  job.Size();
+  job.Fill(0, job.num_pieces());
+  return job.Finish();
+}
 
-  // Decode once up front (a no-op refcount bump for plain pieces), then the
-  // merge is a typed bulk append per physical buffer.
-  std::vector<Column> plains;
-  plains.reserve(pieces.size());
-  size_t total = 0;
-  bool any_validity = false;
-  for (const Column& p : pieces) {
-    plains.push_back(p.encoding() == Encoding::kPlain ? p : p.Decode());
-    total += p.length();
-    any_validity = any_validity || plains.back().has_validity();
+namespace {
+
+/// Calls fn(j, r) for the j-th contributing row r of `piece`, in order.
+template <typename Fn>
+void ForRows(const Column& piece, const std::vector<uint32_t>* ids, Fn&& fn) {
+  if (ids != nullptr) {
+    for (size_t j = 0; j < ids->size(); ++j) fn(j, (*ids)[j]);
+  } else {
+    for (size_t r = 0, n = piece.length(); r < n; ++r) fn(r, r);
   }
-  std::vector<uint8_t> val;
-  if (any_validity) {
-    val.reserve(total);
-    for (const Column& p : plains) {
+}
+
+/// Copies the contributing elements of a per-row buffer to `out`.
+template <typename Buf, typename T>
+void CopyRows(const Column& piece, const std::vector<uint32_t>* ids,
+              const Buf& buf, T* out) {
+  if (ids == nullptr) {
+    std::copy(buf.begin(), buf.end(), out);
+  } else {
+    for (size_t j = 0; j < ids->size(); ++j) out[j] = buf[(*ids)[j]];
+  }
+}
+
+/// A string row's value; a dictionary piece reads NULL rows as "", as
+/// Decode does.
+std::string_view StringAt(const Column& p, size_t r) {
+  if (p.encoding() == Encoding::kPlain) return p.string_data()[r];
+  return p.IsNull(r) ? std::string_view()
+                     : p.dictionary()[p.dict_indices()[r]];
+}
+
+}  // namespace
+
+Result<Column::ConcatJob> Column::ConcatJob::Make(
+    std::vector<Column> pieces, std::vector<const std::vector<uint32_t>*> rows) {
+  if (pieces.empty()) return Status::InvalidArgument("Concat of zero columns");
+  if (!rows.empty() && rows.size() != pieces.size()) {
+    return Status::InvalidArgument("Concat rows/pieces mismatch");
+  }
+  ConcatJob job;
+  job.type_ = pieces[0].type();
+  job.row_begin_.reserve(pieces.size() + 1);
+  job.row_begin_.push_back(0);
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    const Column& p = pieces[i];
+    if (p.type() != job.type_) {
+      return Status::InvalidArgument("Concat of mismatched column types");
+    }
+    const std::vector<uint32_t>* ids = rows.empty() ? nullptr : rows[i];
+    job.row_begin_.push_back(job.row_begin_.back() +
+                             (ids != nullptr ? ids->size() : p.length()));
+    job.validity_ = job.validity_ || p.has_validity();
+    job.one_dictionary_ = job.one_dictionary_ &&
+                          p.encoding_ == Encoding::kDictionary &&
+                          p.strings_.SameViewAs(pieces[0].strings_);
+  }
+  if (IsStringPhysical(job.type_) && !job.one_dictionary_) {
+    job.byte_begin_.assign(pieces.size() + 1, 0);
+  }
+  job.pieces_ = std::move(pieces);
+  job.rows_ = std::move(rows);
+  return job;
+}
+
+void Column::ConcatJob::Measure(size_t begin, size_t end) {
+  if (byte_begin_.empty()) return;  // not a plain string result
+  for (size_t i = begin; i < end; ++i) {
+    const Column& p = pieces_[i];
+    const std::vector<uint32_t>* ids = RowsOf(i);
+    uint64_t bytes = 0;
+    if (p.encoding_ == Encoding::kPlain && ids == nullptr) {
+      bytes = p.strings_.PayloadBytes();
+    } else {
+      ForRows(p, ids, [&](size_t, size_t r) { bytes += StringAt(p, r).size(); });
+    }
+    byte_begin_[i + 1] = bytes;  // prefix-summed by Allocate
+  }
+}
+
+void Column::ConcatJob::Allocate() {
+  const size_t rows = row_begin_.back();
+  if (validity_) val_.reserve(rows);
+  if (one_dictionary_) {
+    codes_.reserve(rows);
+  } else if (IsIntegerPhysical(type_)) {
+    ints_.reserve(rows);
+  } else if (type_ == DataType::kDouble) {
+    doubles_.reserve(rows);
+  } else if (type_ == DataType::kBool) {
+    bools_.reserve(rows);
+  } else {
+    for (size_t i = 1; i < byte_begin_.size(); ++i) {
+      byte_begin_[i] += byte_begin_[i - 1];
+    }
+    offsets_.reserve(rows + 1);
+    bytes_.reserve(byte_begin_.back());
+  }
+}
+
+void Column::ConcatJob::Size() {
+  const size_t rows = row_begin_.back();
+  if (validity_) val_.resize(rows);
+  if (one_dictionary_) {
+    codes_.resize(rows);
+  } else if (IsIntegerPhysical(type_)) {
+    ints_.resize(rows);
+  } else if (type_ == DataType::kDouble) {
+    doubles_.resize(rows);
+  } else if (type_ == DataType::kBool) {
+    bools_.resize(rows);
+  } else {
+    offsets_.resize(rows + 1);  // offsets_[0] = 0
+    bytes_.resize(byte_begin_.back());
+  }
+}
+
+void Column::ConcatJob::Fill(size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    const Column& p = pieces_[i];
+    const std::vector<uint32_t>* ids = RowsOf(i);
+    const size_t at = row_begin_[i];
+    if (validity_) {
       if (p.has_validity()) {
-        val.insert(val.end(), p.validity().begin(), p.validity().end());
+        CopyRows(p, ids, p.validity_, val_.data() + at);
       } else {
-        val.insert(val.end(), p.length(), 1);
+        std::fill(val_.begin() + at, val_.begin() + row_begin_[i + 1], 1);
       }
     }
+    if (one_dictionary_) {
+      // Codes into the one shared dictionary; it is not copied.
+      CopyRows(p, ids, p.dict_indices_, codes_.data() + at);
+    } else if (IsIntegerPhysical(type_)) {
+      if (p.encoding_ == Encoding::kPlain) {
+        CopyRows(p, ids, p.ints_, ints_.data() + at);
+        continue;
+      }
+      // Run-length: walk the runs alongside the (ascending) rows.
+      size_t run = 0;
+      size_t run_end = p.run_lengths_.empty() ? 0 : p.run_lengths_[0];
+      ForRows(p, ids, [&](size_t j, size_t r) {
+        while (r >= run_end) run_end += p.run_lengths_[++run];
+        ints_[at + j] = p.ints_[run];
+      });
+    } else if (type_ == DataType::kDouble) {
+      CopyRows(p, ids, p.doubles_, doubles_.data() + at);
+    } else if (type_ == DataType::kBool) {
+      CopyRows(p, ids, p.bools_, bools_.data() + at);
+    } else {
+      // Into one compacted arena: this piece's payload starts at
+      // byte_begin_[i], and its rows' end offsets follow.
+      uint64_t pos = byte_begin_[i];
+      ForRows(p, ids, [&](size_t j, size_t r) {
+        const std::string_view v = StringAt(p, r);
+        std::copy(v.begin(), v.end(), bytes_.begin() + pos);
+        pos += v.size();
+        offsets_[at + j + 1] = static_cast<uint32_t>(pos);
+      });
+    }
   }
+}
 
+Column Column::ConcatJob::Finish() {
+  Buffer<uint8_t> val = WrapCopied(std::move(val_));
   Column c;
-  if (IsIntegerPhysical(t)) {
-    std::vector<int64_t> out;
-    out.reserve(total);
-    for (const Column& p : plains) {
-      out.insert(out.end(), p.ints_.begin(), p.ints_.end());
-    }
-    c = MakeInt64(WrapCopied(std::move(out)), WrapCopied(std::move(val)));
-  } else if (t == DataType::kDouble) {
-    std::vector<double> out;
-    out.reserve(total);
-    for (const Column& p : plains) {
-      out.insert(out.end(), p.doubles_.begin(), p.doubles_.end());
-    }
-    c = MakeDouble(WrapCopied(std::move(out)), WrapCopied(std::move(val)));
-  } else if (t == DataType::kBool) {
-    std::vector<uint8_t> out;
-    out.reserve(total);
-    for (const Column& p : plains) {
-      out.insert(out.end(), p.bools_.begin(), p.bools_.end());
-    }
-    c = MakeBool(WrapCopied(std::move(out)), WrapCopied(std::move(val)));
+  if (one_dictionary_) {
+    BufferPool::Current().CountSlice();  // the shared-dictionary handoff
+    c = MakeDictionaryString(WrapCopied(std::move(codes_)),
+                             pieces_[0].strings_, std::move(val));
+  } else if (IsIntegerPhysical(type_)) {
+    c = MakeInt64(WrapCopied(std::move(ints_)), std::move(val));
+  } else if (type_ == DataType::kDouble) {
+    c = MakeDouble(WrapCopied(std::move(doubles_)), std::move(val));
+  } else if (type_ == DataType::kBool) {
+    c = MakeBool(WrapCopied(std::move(bools_)), std::move(val));
   } else {
-    // Merge the piece arenas into one compacted arena.
-    StringBufferBuilder out;
-    size_t payload = 0;
-    for (const Column& p : plains) payload += p.strings_.PayloadBytes();
-    out.Reserve(total, payload);
-    for (const Column& p : plains) {
-      for (std::string_view s : p.strings_) out.Append(s);
-    }
-    c = MakeString(out.Finish(/*copied=*/true), WrapCopied(std::move(val)));
+    c = MakeString(StringBuffer::FromPartsCopied(std::move(offsets_),
+                                                 std::move(bytes_)),
+                   std::move(val));
   }
-  c.type_ = t;
+  c.type_ = type_;
   return c;
 }
 

@@ -133,8 +133,69 @@ class Column {
   Column WithType(DataType type) const;
 
   /// Concatenates columns of identical type. A single piece is returned as
-  /// a shared view; multiple pieces merge into a plain-encoded copy.
+  /// a shared view. Several pieces that all view one dictionary (the same
+  /// arena and offsets window, e.g. slices or gathers of one block) stay
+  /// dictionary-encoded: only their codes and validity are copied and the
+  /// dictionary is shared. Any other mix merges into one plain copy,
+  /// decoding dictionary and run-length pieces on the way, so each value is
+  /// copied once.
   static Result<Column> Concat(const std::vector<Column>& pieces);
+
+  /// Concat with a gather fused in: piece i contributes only its rows
+  /// `rows[i]` (strictly ascending ids; null = every row), so a selected
+  /// piece is copied once, not gathered and then merged. `rows` is empty
+  /// or has one entry per piece; one piece with rows equals Gather.
+  static Result<Column> ConcatRows(
+      const std::vector<Column>& pieces,
+      const std::vector<const std::vector<uint32_t>*>& rows);
+
+  /// ConcatRows laid out before it copies, for a caller that copies ranges
+  /// of pieces on pool threads into one output. Steps, in order:
+  ///   Make      checks and lays out the pieces (cheap, O(pieces));
+  ///   Measure   sizes the string payload of a piece range (reads only; any
+  ///             thread, disjoint ranges concurrently; every piece once);
+  ///   Allocate  reserves the output buffers — on the caller's thread, so
+  ///             the memory comes from, and goes back to, one allocator
+  ///             arena whichever worker fills it;
+  ///   Size      sizes the reserved buffers (any thread, once);
+  ///   Fill      copies a piece range into its output range (any thread,
+  ///             disjoint ranges concurrently; every piece once);
+  ///   Finish    wraps the output column.
+  /// ConcatRows runs them all in a row on the caller.
+  class ConcatJob {
+   public:
+    static Result<ConcatJob> Make(
+        std::vector<Column> pieces,
+        std::vector<const std::vector<uint32_t>*> rows);
+    size_t num_pieces() const { return pieces_.size(); }
+    void Measure(size_t begin, size_t end);
+    void Allocate();
+    void Size();
+    void Fill(size_t begin, size_t end);
+    Column Finish();
+
+   private:
+    ConcatJob() = default;
+    const std::vector<uint32_t>* RowsOf(size_t i) const {
+      return rows_.empty() ? nullptr : rows_[i];
+    }
+
+    std::vector<Column> pieces_;
+    std::vector<const std::vector<uint32_t>*> rows_;
+    DataType type_ = DataType::kInt64;
+    bool validity_ = false;
+    bool one_dictionary_ = true;
+    std::vector<size_t> row_begin_;     // per piece, plus the total
+    std::vector<uint64_t> byte_begin_;  // plain strings: payload per piece,
+                                        // prefix-summed by Allocate
+    std::vector<uint8_t> val_;
+    std::vector<int64_t> ints_;
+    std::vector<double> doubles_;
+    std::vector<uint8_t> bools_;
+    std::vector<uint32_t> codes_;    // shared-dictionary codes
+    std::vector<uint32_t> offsets_;  // plain strings
+    std::vector<uint8_t> bytes_;
+  };
 
   /// Exact heap footprint of the viewed data in O(1) — fixed-width buffers
   /// by width, string data by arena arithmetic (offsets + referenced payload

@@ -53,6 +53,11 @@ StringBuffer StringBuffer::FromStringsCopied(
   return b.Finish(/*copied=*/true);
 }
 
+StringBuffer StringBuffer::FromPartsCopied(std::vector<uint32_t> offsets,
+                                           std::vector<uint8_t> bytes) {
+  return WrapParts(std::move(offsets), std::move(bytes), /*copied=*/true);
+}
+
 StringBuffer StringBuffer::Empties(size_t n) {
   if (n == 0) return StringBuffer();
   return WrapParts(std::vector<uint32_t>(n + 1, 0), {}, /*copied=*/false);

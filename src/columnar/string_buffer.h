@@ -47,6 +47,11 @@ class StringBuffer {
   /// Same, but produced by *copying* rows out of existing buffers
   /// (Gather / Decode / Concat): counts bytes-allocated AND bytes-copied.
   static StringBuffer FromStringsCopied(const std::vector<std::string>& values);
+  /// Wraps offsets (n+1 absolute positions, offsets[0] = 0) and the arena
+  /// they index, produced by copying rows out of existing buffers: counted
+  /// as StringBufferBuilder::Finish(/*copied=*/true) counts them.
+  static StringBuffer FromPartsCopied(std::vector<uint32_t> offsets,
+                                      std::vector<uint8_t> bytes);
   /// `n` empty strings with no arena storage (the all-NULL column layout).
   static StringBuffer Empties(size_t n);
   /// Wraps already-accounted offsets/arena views (offsets must hold n+1
@@ -111,6 +116,13 @@ class StringBuffer {
     if (bytes_.SharesStorageWith(other.bytes_)) return true;
     return bytes_.empty() && other.bytes_.empty() &&
            offsets_.SharesStorageWith(other.offsets_);
+  }
+
+  /// True if both view the same strings of the same arena (one offsets
+  /// window over one arena): what lets a Concat keep a shared dictionary.
+  bool SameViewAs(const StringBuffer& other) const {
+    return offsets_.SameViewAs(other.offsets_) &&
+           bytes_.SameViewAs(other.bytes_);
   }
 
   /// Exact heap footprint of the view in O(1): offsets plus the referenced

@@ -151,8 +151,11 @@ class StorageReadApi {
   Result<std::vector<std::string>> ReadRows(const ReadSession& session,
                                             size_t stream_index);
 
-  /// Convenience: ReadStreamHandles + open + concat — serialization-free
-  /// in-process.
+  /// Convenience for callers that want one batch per stream (tests, CCMV
+  /// refreshes, Spark-lite's pushed aggregate): ReadStreamHandles + open +
+  /// one RecordBatch::Concat — serialization-free in-process. The engine
+  /// does not call it: its scans open the handles as chunks and concatenate
+  /// nothing (columnar/chunked_batch.h).
   Result<RecordBatch> ReadStreamBatch(const ReadSession& session,
                                       size_t stream_index);
 

@@ -42,15 +42,11 @@ const char* PlanKindName(Plan::Kind kind) {
   return "unknown";
 }
 
-/// Collapses a deferred selection into a contiguous batch (the late-
-/// materialization boundary). No-op when nothing was deferred.
-RecordBatch MaterializeSelected(SelectedBatch in) {
-  if (!in.sel.has_value()) return std::move(in.batch);
-  kernels::CountSelectionMaterialization();
-  return in.batch.Gather(in.sel->ids());
-}
-
 }  // namespace
+
+ThreadPool* QueryEngine::ChunkPool(const ChunkedBatch& in) {
+  return in.chunks.size() > 1 ? pool() : nullptr;
+}
 
 void QueryEngine::ChargeCpu(uint64_t values, QueryStats* stats) {
   // Accumulate in double and convert to integral micros once per operator,
@@ -165,9 +161,15 @@ Result<QueryResult> QueryEngine::Execute(const Principal& principal,
   }
   if (!served_from_cache) {
     obs::ScopedSpan stage("execute", obs::Span::kStage);
-    auto batch = ExecuteNode(principal, plan, &result.stats);
-    exec_status = batch.status();
-    if (batch.ok()) result.batch = MaterializeSelected(std::move(*batch));
+    auto chunks = ExecuteNode(principal, plan, &result.stats);
+    exec_status = chunks.status();
+    if (chunks.ok()) {
+      // The root contiguity point: a result is one batch.
+      ThreadPool* concat_pool = ChunkPool(*chunks);
+      auto batch = std::move(*chunks).Contiguous(concat_pool);
+      exec_status = batch.status();
+      if (batch.ok()) result.batch = std::move(*batch);
+    }
   }
   result.stats.rows_returned = result.batch.num_rows();
   result.stats.total_micros = timer.ElapsedMicros();
@@ -237,9 +239,9 @@ Result<QueryResult> QueryEngine::Execute(const Principal& principal,
   return result;
 }
 
-Result<SelectedBatch> QueryEngine::ExecuteNode(const Principal& principal,
-                                               const PlanPtr& plan,
-                                               QueryStats* stats) {
+Result<ChunkedBatch> QueryEngine::ExecuteNode(const Principal& principal,
+                                              const PlanPtr& plan,
+                                              QueryStats* stats) {
   // Operator entry is a serial point (the clock view here is the merged
   // global clock), so this checkpoint fires at the same operator at any
   // worker count.
@@ -248,141 +250,199 @@ Result<SelectedBatch> QueryEngine::ExecuteNode(const Principal& principal,
                        obs::Span::kOperator);
   auto out = ExecuteNodeInner(principal, plan, stats);
   if (out.ok()) {
-    // Logical rows: a deferred selection reports its selected count, so
+    // Logical rows: deferred selections report their selected counts, so
     // spans and operator-row metrics equal those of a materialized batch.
-    span.AddNum("rows_out", out->num_rows());
+    // Chunk counts depend only on the data, never on the stream count.
+    const uint64_t rows = out->num_rows();
+    span.AddNum("rows_out", rows);
+    span.AddNum("chunks", out->chunks.size());
     obs::MetricsRegistry::Default()
         .GetCounter(METRIC_ENGINE_OPERATOR_ROWS,
                     {{"op", PlanKindName(plan->kind)}})
-        ->Add(out->num_rows());
+        ->Add(rows);
   }
   return out;
 }
 
-Result<SelectedBatch> QueryEngine::ExecuteNodeInner(const Principal& principal,
-                                                    const PlanPtr& plan,
-                                                    QueryStats* stats) {
+Result<ChunkedBatch> QueryEngine::ExecuteNodeInner(const Principal& principal,
+                                                   const PlanPtr& plan,
+                                                   QueryStats* stats) {
   switch (plan->kind) {
-    case Plan::Kind::kScan: {
-      BL_ASSIGN_OR_RETURN(RecordBatch out,
-                          ExecuteScan(principal, *plan, stats));
-      return SelectedBatch{std::move(out), std::nullopt};
-    }
+    case Plan::Kind::kScan:
+      return ExecuteScan(principal, *plan, stats);
     case Plan::Kind::kFilter: {
-      BL_ASSIGN_OR_RETURN(SelectedBatch in,
+      BL_ASSIGN_OR_RETURN(ChunkedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
-      // Evaluate the predicate over the *underlying* batch (mask values at
-      // already-filtered-out rows are simply discarded by FilterBy) and fold
-      // the result into the selection — no column is copied. CPU is charged
-      // on logical rows.
-      BL_ASSIGN_OR_RETURN(kernels::BoolVec bv,
-                          kernels::EvaluatePredicate(*plan->filter, in.batch));
-      ChargeCpu(in.num_rows(), stats);
-      std::vector<uint8_t> mask = kernels::BoolVecToMask(bv);
-      SelectionVector sel = in.sel.has_value()
-                                ? in.sel->FilterBy(mask)
-                                : SelectionVector::FromMask(mask);
-      kernels::ObserveSelectivity(sel.size(), in.num_rows());
-      return SelectedBatch{std::move(in.batch), std::move(sel)};
+      return ExecuteFilter(std::move(in), *plan, stats);
     }
     case Plan::Kind::kProject: {
-      BL_ASSIGN_OR_RETURN(SelectedBatch in,
+      BL_ASSIGN_OR_RETURN(ChunkedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
-      if (plan->project_names.size() != plan->project_exprs.size()) {
-        return Status::InvalidArgument("project names/exprs mismatch");
-      }
-      const uint64_t logical_rows = in.num_rows();
-      RecordBatch input;
-      if (in.sel.has_value()) {
-        // Fused filter->project: gather only the columns the projection
-        // actually references, at the selected ids — every other column of
-        // the batch is dropped without a copy.
-        std::set<std::string> refs;
-        for (const auto& e : plan->project_exprs) e->CollectColumns(&refs);
-        std::vector<Field> in_fields;
-        std::vector<Column> in_cols;
-        const Schema& schema = *in.batch.schema();
-        for (size_t c = 0; c < schema.num_fields(); ++c) {
-          if (refs.count(schema.field(c).name) == 0) continue;
-          in_fields.push_back(schema.field(c));
-          in_cols.push_back(in.batch.column(c).Gather(in.sel->ids()));
-        }
-        if (in_cols.empty()) {
-          // Pure-literal projection: a zero-column gather would lose the row
-          // count, so materialize instead.
-          input = MaterializeSelected(std::move(in));
-        } else {
-          kernels::CountSelectionMaterialization();
-          input = RecordBatch(MakeSchema(std::move(in_fields)),
-                              std::move(in_cols));
-        }
-      } else {
-        input = std::move(in.batch);
-      }
-      std::vector<Field> fields;
-      std::vector<Column> cols;
-      for (size_t i = 0; i < plan->project_exprs.size(); ++i) {
-        BL_ASSIGN_OR_RETURN(
-            Column c, kernels::EvaluateColumn(*plan->project_exprs[i], input));
-        BL_ASSIGN_OR_RETURN(
-            DataType t, plan->project_exprs[i]->ResultType(*input.schema()));
-        fields.push_back({plan->project_names[i], t, true});
-        cols.push_back(std::move(c));
-      }
-      ChargeCpu(logical_rows * plan->project_exprs.size(), stats);
-      return SelectedBatch{
-          RecordBatch(MakeSchema(std::move(fields)), std::move(cols)),
-          std::nullopt};
+      return ExecuteProject(std::move(in), *plan, stats);
     }
     case Plan::Kind::kHashJoin:
       return ExecuteJoin(principal, *plan, stats);
     case Plan::Kind::kAggregate: {
-      BL_ASSIGN_OR_RETURN(SelectedBatch in,
+      BL_ASSIGN_OR_RETURN(ChunkedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
       BL_ASSIGN_OR_RETURN(RecordBatch out, ExecuteAggregate(in, *plan, stats));
-      return SelectedBatch{std::move(out), std::nullopt};
+      return ChunkedBatch::Of(std::move(out));
     }
     case Plan::Kind::kOrderBy: {
-      BL_ASSIGN_OR_RETURN(SelectedBatch in,
+      BL_ASSIGN_OR_RETURN(ChunkedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
       ChargeCpu(in.num_rows(), stats);
-      const std::vector<uint32_t>* sel =
-          in.sel.has_value() ? &in.sel->ids() : nullptr;
-      if (sel != nullptr) kernels::CountSelectionMaterialization();
+      // A contiguity point; a single chunk keeps its selection, which
+      // pre-orders the sort instead of being gathered first.
+      ThreadPool* concat_pool = ChunkPool(in);
+      BL_ASSIGN_OR_RETURN(SelectedBatch rows,
+                          std::move(in).Materialize(concat_pool));
+      if (rows.sel.has_value()) kernels::CountSelectionMaterialization();
       BL_ASSIGN_OR_RETURN(RecordBatch out,
-                          ops::SortBatch(in.batch, plan->sort_keys, sel));
-      return SelectedBatch{std::move(out), std::nullopt};
+                          ops::SortBatch(rows.batch, plan->sort_keys,
+                                         rows.ids()));
+      return ChunkedBatch::Of(std::move(out));
     }
     case Plan::Kind::kLimit: {
-      BL_ASSIGN_OR_RETURN(SelectedBatch in,
+      BL_ASSIGN_OR_RETURN(ChunkedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
-      if (in.sel.has_value()) {
-        in.sel->Truncate(plan->limit);  // LIMIT over a selection is free
-        return in;
+      // Whole chunks up to the limit, then a truncated selection (free) or
+      // a zero-copy slice of the last one.
+      ChunkedBatch out;
+      out.schema = in.schema;
+      size_t left = plan->limit;
+      for (SelectedBatch& c : in.chunks) {
+        if (left == 0) break;
+        const size_t n = c.num_rows();
+        if (n > left) {
+          if (c.sel.has_value()) {
+            c.sel->Truncate(left);
+          } else {
+            c.batch = c.batch.Slice(0, left);
+          }
+        }
+        left -= std::min(n, left);
+        out.Append(std::move(c));
       }
-      return SelectedBatch{in.batch.Slice(0, plan->limit), std::nullopt};
+      return out;
     }
     case Plan::Kind::kValues:
-      return SelectedBatch{plan->values, std::nullopt};
+      return ChunkedBatch::Of(plan->values);
     case Plan::Kind::kMap: {
-      BL_ASSIGN_OR_RETURN(SelectedBatch in,
+      BL_ASSIGN_OR_RETURN(ChunkedBatch in,
                           ExecuteNode(principal, plan->children[0], stats));
       if (!plan->map_fn) {
         return Status::InvalidArgument(
             StrCat("map operator `", plan->map_name, "` has no function"));
       }
       // Map functions are opaque row transforms: hand them contiguous rows.
-      BL_ASSIGN_OR_RETURN(RecordBatch out,
-                          plan->map_fn(MaterializeSelected(std::move(in))));
-      return SelectedBatch{std::move(out), std::nullopt};
+      ThreadPool* concat_pool = ChunkPool(in);
+      BL_ASSIGN_OR_RETURN(RecordBatch rows,
+                          std::move(in).Contiguous(concat_pool));
+      BL_ASSIGN_OR_RETURN(RecordBatch out, plan->map_fn(std::move(rows)));
+      return ChunkedBatch::Of(std::move(out));
     }
   }
   return Status::Internal("unreachable plan kind");
 }
 
-Result<RecordBatch> QueryEngine::ExecuteScan(const Principal& principal,
-                                             const Plan& scan,
-                                             QueryStats* stats) {
+Result<ChunkedBatch> QueryEngine::ExecuteFilter(ChunkedBatch in,
+                                                const Plan& filter,
+                                                QueryStats* stats) {
+  const uint64_t rows = in.num_rows();
+  // With no chunk the predicate still runs (over no rows), so a predicate
+  // that cannot evaluate fails whether or not the input has rows.
+  if (in.chunks.empty()) {
+    in.chunks.push_back(
+        SelectedBatch{RecordBatch::Empty(in.schema), std::nullopt});
+  }
+  // Evaluate the predicate over each chunk's *underlying* batch (mask
+  // values at already-filtered-out rows are simply discarded by FilterBy)
+  // and fold the result into the chunk's selection — no column is copied.
+  BL_RETURN_NOT_OK(ForEachChunk(
+      ChunkPool(in), in.chunks.size(), [&](size_t k) -> Status {
+        SelectedBatch& c = in.chunks[k];
+        BL_ASSIGN_OR_RETURN(
+            kernels::BoolVec bv,
+            kernels::EvaluatePredicate(*filter.filter, c.batch));
+        std::vector<uint8_t> mask = kernels::BoolVecToMask(bv);
+        c.sel = c.sel.has_value() ? c.sel->FilterBy(mask)
+                                  : SelectionVector::FromMask(mask);
+        return Status::OK();
+      }));
+  // CPU is charged on logical rows.
+  ChargeCpu(rows, stats);
+  ChunkedBatch out;
+  out.schema = in.schema;
+  for (SelectedBatch& c : in.chunks) out.Append(std::move(c));
+  kernels::ObserveSelectivity(out.num_rows(), rows);
+  return out;
+}
+
+Result<ChunkedBatch> QueryEngine::ExecuteProject(ChunkedBatch in,
+                                                 const Plan& project,
+                                                 QueryStats* stats) {
+  const auto& exprs = project.project_exprs;
+  if (project.project_names.size() != exprs.size()) {
+    return Status::InvalidArgument("project names/exprs mismatch");
+  }
+  const uint64_t logical_rows = in.num_rows();
+  std::set<std::string> refs;
+  for (const auto& e : exprs) e->CollectColumns(&refs);
+  if (in.chunks.empty()) {
+    in.chunks.push_back(
+        SelectedBatch{RecordBatch::Empty(in.schema), std::nullopt});
+  }
+  bool gathers = false;
+  for (const SelectedBatch& c : in.chunks) gathers |= c.sel.has_value();
+  std::vector<std::vector<Column>> cols(in.chunks.size());
+  BL_RETURN_NOT_OK(ForEachChunk(
+      ChunkPool(in), in.chunks.size(), [&](size_t k) -> Status {
+        const SelectedBatch& c = in.chunks[k];
+        RecordBatch input = c.batch;
+        if (c.sel.has_value()) {
+          // Fused filter->project: gather only the columns the projection
+          // references, at the selected ids — every other column of the
+          // chunk is dropped without a copy.
+          std::vector<Field> in_fields;
+          std::vector<Column> in_cols;
+          const Schema& schema = *c.batch.schema();
+          for (size_t i = 0; i < schema.num_fields(); ++i) {
+            if (refs.count(schema.field(i).name) == 0) continue;
+            in_fields.push_back(schema.field(i));
+            in_cols.push_back(c.batch.column(i).Gather(c.sel->ids()));
+          }
+          // A pure-literal projection gathers the whole chunk instead: a
+          // zero-column batch would lose the row count.
+          input = in_cols.empty() ? c.batch.Gather(c.sel->ids())
+                                  : RecordBatch(MakeSchema(std::move(in_fields)),
+                                                std::move(in_cols));
+        }
+        for (const auto& e : exprs) {
+          BL_ASSIGN_OR_RETURN(Column col, kernels::EvaluateColumn(*e, input));
+          cols[k].push_back(std::move(col));
+        }
+        return Status::OK();
+      }));
+  if (gathers) kernels::CountSelectionMaterialization();
+  std::vector<Field> fields;
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    BL_ASSIGN_OR_RETURN(DataType t, exprs[i]->ResultType(*in.schema));
+    fields.push_back({project.project_names[i], t, true});
+  }
+  ChargeCpu(logical_rows * exprs.size(), stats);
+  ChunkedBatch out;
+  out.schema = MakeSchema(std::move(fields));
+  for (std::vector<Column>& c : cols) {
+    out.Append(SelectedBatch{RecordBatch(out.schema, std::move(c)),
+                             std::nullopt});
+  }
+  return out;
+}
+
+Result<ChunkedBatch> QueryEngine::ExecuteScan(const Principal& principal,
+                                              const Plan& scan,
+                                              QueryStats* stats) {
   ReadSessionOptions opts;
   opts.columns = scan.scan_columns;
   opts.predicate = scan.scan_predicate;
@@ -410,10 +470,12 @@ Result<RecordBatch> QueryEngine::ExecuteScan(const Principal& principal,
   // the paper's unit of scan parallelism. Each task charges simulated costs
   // into its own shard; MergeShards folds them back serial-equivalently, so
   // the virtual clock and every counter are bit-identical to a one-worker
-  // run. Output batches land in stream-indexed slots and concatenate in
-  // stream order, so results are deterministic too.
+  // run. Each task opens its stream's response batches (local handles: a
+  // refcount bump each) into a stream-indexed slot; they become the scan's
+  // chunks in stream order, then response order, so results are
+  // deterministic too — and nothing is concatenated.
   const size_t num_streams = session.streams.size();
-  std::vector<RecordBatch> batches(num_streams);
+  std::vector<std::vector<RecordBatch>> batches(num_streams);
   std::vector<SimMicros> stream_elapsed(num_streams, 0);
   // Pre-create one `stream:<i>` span per slot in slot order (see trace.h);
   // worker tasks activate their slot's span, so the tree shape and all
@@ -446,9 +508,15 @@ Result<RecordBatch> QueryEngine::ExecuteScan(const Principal& principal,
         }
         obs::ScopedMetricsDelta delta_scope(&deltas[s]);
         cache::ScopedCacheTxn cache_scope(&cache_txns[s]);
-        BL_ASSIGN_OR_RETURN(batches[s],
-                            read_api_->ReadStreamBatch(session, s));
-        obs::AddCurrentSpanNum("rows", batches[s].num_rows());
+        BL_ASSIGN_OR_RETURN(std::vector<BatchHandle> handles,
+                            read_api_->ReadStreamHandles(session, s));
+        uint64_t rows = 0;
+        for (const BatchHandle& h : handles) {
+          BL_ASSIGN_OR_RETURN(RecordBatch b, h.Open());
+          rows += b.num_rows();
+          batches[s].push_back(std::move(b));
+        }
+        obs::AddCurrentSpanNum("rows", rows);
         return Status::OK();
       });
   env_->sim().MergeShards(&shards);            // charge even partial failures
@@ -471,15 +539,21 @@ Result<RecordBatch> QueryEngine::ExecuteScan(const Principal& principal,
        i += options_.num_workers) {
     stats->wall_micros += stream_elapsed[i];  // slowest stream of the wave
   }
-  if (batches.empty()) {
-    return RecordBatch::Empty(session.output_schema);
+  ChunkedBatch out;
+  out.schema = !batches.empty() && !batches[0].empty()
+                   ? batches[0][0].schema()
+                   : session.output_schema;
+  for (std::vector<RecordBatch>& stream : batches) {
+    for (RecordBatch& b : stream) {
+      out.Append(SelectedBatch{std::move(b), std::nullopt});
+    }
   }
-  return RecordBatch::Concat(batches);
+  return out;
 }
 
-Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
-                                               const Plan& join,
-                                               QueryStats* stats) {
+Result<ChunkedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
+                                              const Plan& join,
+                                              QueryStats* stats) {
   PlanPtr build_plan = join.children[0];
   PlanPtr probe_plan = join.children[1];
   std::vector<std::string> build_keys = join.left_keys;
@@ -497,10 +571,13 @@ Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
         ->Increment();
   }
 
-  BL_ASSIGN_OR_RETURN(SelectedBatch build,
+  BL_ASSIGN_OR_RETURN(ChunkedBatch build_chunks,
                       ExecuteNode(principal, build_plan, stats));
-  const std::vector<uint32_t>* build_sel =
-      build.sel.has_value() ? &build.sel->ids() : nullptr;
+  // The build side is a contiguity point: one hash table over one batch
+  // (a single chunk keeps its deferred selection).
+  ThreadPool* concat_pool = ChunkPool(build_chunks);
+  BL_ASSIGN_OR_RETURN(SelectedBatch build,
+                      std::move(build_chunks).Materialize(concat_pool));
 
   // Dynamic partition pruning: feed the build side's distinct key values
   // into a probe-side scan as an IN-list so Big Metadata can prune files.
@@ -508,7 +585,7 @@ Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
       probe_plan->kind == Plan::Kind::kScan && build_keys.size() == 1) {
     std::vector<Value> in_list =
         ops::DistinctValues(build.batch, build_keys[0], options_.dpp_max_keys,
-                            build_sel);
+                            build.ids());
     if (!in_list.empty()) {
       ExprPtr dpp = Expr::InList(Expr::Col(probe_keys[0]),
                                  std::move(in_list));
@@ -525,41 +602,36 @@ Result<SelectedBatch> QueryEngine::ExecuteJoin(const Principal& principal,
     }
   }
 
-  BL_ASSIGN_OR_RETURN(SelectedBatch probe,
+  BL_ASSIGN_OR_RETURN(ChunkedBatch probe,
                       ExecuteNode(principal, probe_plan, stats));
-  const std::vector<uint32_t>* probe_sel =
-      probe.sel.has_value() ? &probe.sel->ids() : nullptr;
   // Logical (selected) row counts everywhere: spans and CPU charges are the
   // same whether or not the inputs carry deferred selections.
+  const uint64_t probe_rows = probe.num_rows();
   obs::AddCurrentSpanNum("build_rows", build.num_rows());
-  obs::AddCurrentSpanNum("probe_rows", probe.num_rows());
+  obs::AddCurrentSpanNum("probe_rows", probe_rows);
   uint64_t matches = 0;
-  BL_ASSIGN_OR_RETURN(
-      RecordBatch joined,
-      ops::HashJoin(pool(), build.batch, probe.batch, build_keys, probe_keys,
-                    &matches, build_sel, probe_sel));
+  BL_ASSIGN_OR_RETURN(ChunkedBatch joined,
+                      ops::HashJoin(pool(), build, probe, build_keys,
+                                    probe_keys, &matches));
   // Building the hash table costs ~4x per row vs probing: picking
   // the smaller build side (stats-driven) matters.
-  ChargeCpu(build.num_rows() * 4 + probe.num_rows() + matches, stats);
-  return SelectedBatch{std::move(joined), std::nullopt};
+  ChargeCpu(build.num_rows() * 4 + probe_rows + matches, stats);
+  return joined;
 }
 
-Result<RecordBatch> QueryEngine::ExecuteAggregate(const SelectedBatch& input,
+Result<RecordBatch> QueryEngine::ExecuteAggregate(const ChunkedBatch& input,
                                                   const Plan& agg,
                                                   QueryStats* stats) {
-  const std::vector<uint32_t>* sel =
-      input.sel.has_value() ? &input.sel->ids() : nullptr;
-  ChargeCpu(input.num_rows() *
-                (agg.aggregates.size() + agg.group_by.size() + 1),
-            stats);
-  obs::AddCurrentSpanNum("input_rows", input.num_rows());
+  const uint64_t rows = input.num_rows();
+  ChargeCpu(rows * (agg.aggregates.size() + agg.group_by.size() + 1), stats);
+  obs::AddCurrentSpanNum("input_rows", rows);
   ops::AggregateStats agg_stats;
   BL_ASSIGN_OR_RETURN(
       RecordBatch out,
-      ops::ParallelAggregate(pool(), input.batch, agg.group_by,
-                             agg.aggregates, sel, &agg_stats));
+      ops::ParallelAggregate(pool(), input, agg.group_by, agg.aggregates,
+                             &agg_stats));
   obs::AddCurrentSpanNum("groups", agg_stats.groups);
-  obs::AddCurrentSpanNum("chunks", agg_stats.chunks);
+  obs::AddCurrentSpanNum("partials", agg_stats.chunks);
   return out;
 }
 

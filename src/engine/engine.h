@@ -15,13 +15,21 @@
 //     dimension into the fact scan as an IN-list, letting Big Metadata prune
 //     fact files before any data is read. Both can be disabled to reproduce
 //     the paper's before/after comparisons.
+//   * Chunked data flow (columnar/chunked_batch.h): an operator's output
+//     is an ordered list of chunks. A scan hands on the Read API's response
+//     batches as zero-copy chunks, in stream order and then response order,
+//     without concatenating them; filters and projections run per chunk on
+//     the pool; a join probes chunk by chunk and emits chunks in probe
+//     order. Rows are copied into one batch only at the contiguity points:
+//     the query root, Sort, Map and a join's build side, each by one
+//     dictionary-keeping Concat per column on the pool.
 //   * Real parallelism with deterministic merges: `num_workers` sizes an
 //     actual work-stealing thread pool. Scans fan one pool task out per
-//     read stream (the paper's unit of scan parallelism) and concatenate
-//     batches in stream order; joins probe fixed row chunks across the
-//     pool and concatenate their matches in chunk order; aggregations build
-//     typed partial states per fixed 4096-row chunk and fold them in chunk
-//     order (at one worker too, so SUM/AVG match to the last bit).
+//     read stream (the paper's unit of scan parallelism); joins probe fixed
+//     pieces of the probe chunks across the pool; aggregations build typed
+//     partial states per fixed 4096-row cut of the logical rows and fold
+//     them in cut order (at one worker too, so SUM/AVG match to the last
+//     bit).
 //     Every parallel region charges simulated costs into per-task shards
 //     that are folded back serial-equivalently (see common/sim_env.h), so
 //     query results, cost counters and the virtual clock are bit-identical
@@ -34,11 +42,10 @@
 #define BIGLAKE_ENGINE_ENGINE_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "cache/result_cache.h"
-#include "columnar/selection.h"
+#include "columnar/chunked_batch.h"
 #include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "core/read_api.h"
@@ -105,17 +112,6 @@ struct QueryResult {
   QueryStats stats;
 };
 
-/// A batch plus an optional deferred filter result. When `sel` is set the
-/// logical rows are `batch` rows at `sel`'s (strictly ascending) ids, in
-/// order — nothing has been copied yet. Operators consume the selection
-/// directly and materialize only where contiguous output is required.
-struct SelectedBatch {
-  RecordBatch batch;
-  std::optional<SelectionVector> sel;
-
-  size_t num_rows() const { return sel ? sel->size() : batch.num_rows(); }
-};
-
 class QueryEngine {
  public:
   QueryEngine(LakehouseEnv* env, StorageReadApi* read_api,
@@ -166,18 +162,23 @@ class QueryEngine {
 
  private:
   /// Wraps ExecuteNodeInner in an `operator` span annotated with the node's
-  /// output rows; all recursion goes through here so nested operators nest
-  /// in the trace too.
-  Result<SelectedBatch> ExecuteNode(const Principal& principal,
-                                    const PlanPtr& plan, QueryStats* stats);
-  Result<SelectedBatch> ExecuteNodeInner(const Principal& principal,
-                                         const PlanPtr& plan,
-                                         QueryStats* stats);
-  Result<RecordBatch> ExecuteScan(const Principal& principal, const Plan& scan,
-                                  QueryStats* stats);
-  Result<SelectedBatch> ExecuteJoin(const Principal& principal,
-                                    const Plan& join, QueryStats* stats);
-  Result<RecordBatch> ExecuteAggregate(const SelectedBatch& input,
+  /// output rows and chunks; all recursion goes through here so nested
+  /// operators nest in the trace too.
+  Result<ChunkedBatch> ExecuteNode(const Principal& principal,
+                                   const PlanPtr& plan, QueryStats* stats);
+  Result<ChunkedBatch> ExecuteNodeInner(const Principal& principal,
+                                        const PlanPtr& plan,
+                                        QueryStats* stats);
+  /// One chunk per non-empty Read API response batch, zero-copy.
+  Result<ChunkedBatch> ExecuteScan(const Principal& principal,
+                                   const Plan& scan, QueryStats* stats);
+  Result<ChunkedBatch> ExecuteFilter(ChunkedBatch in, const Plan& filter,
+                                     QueryStats* stats);
+  Result<ChunkedBatch> ExecuteProject(ChunkedBatch in, const Plan& project,
+                                      QueryStats* stats);
+  Result<ChunkedBatch> ExecuteJoin(const Principal& principal,
+                                   const Plan& join, QueryStats* stats);
+  Result<RecordBatch> ExecuteAggregate(const ChunkedBatch& input,
                                        const Plan& agg, QueryStats* stats);
 
   /// Rough output-cardinality estimate used for build-side selection.
@@ -190,6 +191,9 @@ class QueryEngine {
 
   /// The execution pool (num_workers threads), built on first parallel use.
   ThreadPool* pool();
+  /// The pool for per-chunk work and concatenation over `in`: null (serial
+  /// on the caller) for a single chunk, where a hand-off costs more.
+  ThreadPool* ChunkPool(const ChunkedBatch& in);
 
   LakehouseEnv* env_;
   StorageReadApi* read_api_;

@@ -13,12 +13,12 @@ namespace ops {
 
 namespace {
 
-Result<std::vector<int>> ResolveColumns(const RecordBatch& batch,
+Result<std::vector<int>> ResolveColumns(const Schema& schema,
                                         const std::vector<std::string>& names) {
   std::vector<int> out;
   out.reserve(names.size());
   for (const auto& n : names) {
-    int idx = batch.schema()->FieldIndex(n);
+    int idx = schema.FieldIndex(n);
     if (idx < 0) {
       return Status::NotFound(
           StrCat("no column `", n, "` in operator input"));
@@ -28,15 +28,16 @@ Result<std::vector<int>> ResolveColumns(const RecordBatch& batch,
   return out;
 }
 
-/// One side of a join: its key columns and the logical -> original row map
-/// (identity without a selection).
+/// One side of a join, or one piece of a probe chunk: its key columns and
+/// the logical -> original row map (`base + j` without a selection).
 struct JoinSide {
-  std::vector<KeyColumn> keys;
-  const std::vector<uint32_t>* sel = nullptr;
+  const std::vector<KeyColumn>* keys = nullptr;
+  const uint32_t* sel = nullptr;
+  uint32_t base = 0;
   size_t n = 0;
 
   uint32_t Orig(size_t j) const {
-    return sel != nullptr ? (*sel)[j] : static_cast<uint32_t>(j);
+    return sel != nullptr ? sel[j] : base + static_cast<uint32_t>(j);
   }
 
   /// Combined key hashes of logical rows [begin, end) into `hash`, and
@@ -45,8 +46,8 @@ struct JoinSide {
                 uint8_t* skip) const {
     const size_t count = end - begin;
     std::fill_n(skip, count, 0);
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const KeyColumn& kc = keys[k];
+    for (size_t k = 0; k < keys->size(); ++k) {
+      const KeyColumn& kc = (*keys)[k];
       for (size_t j = 0; j < count; ++j) {
         const uint32_t r = Orig(begin + j);
         const uint64_t h = kc.Hash(r);
@@ -59,14 +60,14 @@ struct JoinSide {
 
 bool RowsEqual(const JoinSide& a, uint32_t ra, const JoinSide& b,
                uint32_t rb) {
-  for (size_t k = 0; k < a.keys.size(); ++k) {
-    if (!KeyEqual(a.keys[k], ra, b.keys[k], rb)) return false;
+  for (size_t k = 0; k < a.keys->size(); ++k) {
+    if (!KeyEqual((*a.keys)[k], ra, (*b.keys)[k], rb)) return false;
   }
   return true;
 }
 
-/// Probe chunk width. Fixed, so the chunk boundaries (and with them the
-/// concatenated match order) never depend on the worker count.
+/// Probe piece width. Fixed, so the piece boundaries (and with them the
+/// output chunks) never depend on the worker count.
 constexpr size_t kProbeChunkRows = 16 * 1024;
 constexpr uint32_t kNoRow = UINT32_MAX;
 
@@ -137,40 +138,158 @@ Status RunChunks(ThreadPool* pool, size_t n,
   return Status::OK();
 }
 
-/// Gathers matched rows and stitches the joined schema (probe columns
-/// colliding with build names get a "_r" suffix). With a pool, each output
-/// column is gathered by its own task; column contents do not depend on it.
-Result<RecordBatch> AssembleJoinOutput(
-    ThreadPool* pool, const RecordBatch& build, const RecordBatch& probe,
-    const std::vector<uint32_t>& build_rows,
-    const std::vector<uint32_t>& probe_rows) {
-  const size_t nb = build.num_columns();
-  std::vector<Column> cols(nb + probe.num_columns());
-  auto gather = [&](size_t c) -> Status {
-    cols[c] = c < nb ? build.column(c).Gather(build_rows)
-                     : probe.column(c - nb).Gather(probe_rows);
-    return Status::OK();
-  };
-  // Below one chunk of output a pool hand-off costs more than the gather.
-  BL_RETURN_NOT_OK(RunChunks(
-      build_rows.size() >= kProbeChunkRows ? pool : nullptr, cols.size(),
-      gather));
+/// Build fields, then probe fields; a probe name colliding with a build
+/// name gets "_r" suffixes until it is unique.
+SchemaPtr JoinSchema(const Schema& build, const Schema& probe) {
   std::vector<Field> fields;
   std::set<std::string> used;
-  for (size_t c = 0; c < nb; ++c) {
-    fields.push_back(build.schema()->field(c));
+  for (size_t c = 0; c < build.num_fields(); ++c) {
+    fields.push_back(build.field(c));
     used.insert(fields.back().name);
   }
-  for (size_t c = 0; c < probe.num_columns(); ++c) {
-    Field f = probe.schema()->field(c);
+  for (size_t c = 0; c < probe.num_fields(); ++c) {
+    Field f = probe.field(c);
     while (used.count(f.name) > 0) f.name += "_r";
     used.insert(f.name);
     fields.push_back(std::move(f));
   }
-  return RecordBatch(MakeSchema(std::move(fields)), std::move(cols));
+  return MakeSchema(std::move(fields));
+}
+
+/// One output chunk: the build rows and probe rows of its matches, gathered.
+RecordBatch GatherMatches(const RecordBatch& build, const RecordBatch& probe,
+                          const std::vector<uint32_t>& build_rows,
+                          const std::vector<uint32_t>& probe_rows,
+                          SchemaPtr schema) {
+  std::vector<Column> cols;
+  cols.reserve(build.num_columns() + probe.num_columns());
+  for (size_t c = 0; c < build.num_columns(); ++c) {
+    cols.push_back(build.column(c).Gather(build_rows));
+  }
+  for (size_t c = 0; c < probe.num_columns(); ++c) {
+    cols.push_back(probe.column(c).Gather(probe_rows));
+  }
+  return RecordBatch(std::move(schema), std::move(cols));
 }
 
 }  // namespace
+
+Result<ChunkedBatch> HashJoin(ThreadPool* pool, const SelectedBatch& build,
+                              const ChunkedBatch& probe,
+                              const std::vector<std::string>& build_keys,
+                              const std::vector<std::string>& probe_keys,
+                              uint64_t* matches_out) {
+  if (build_keys.size() != probe_keys.size() || build_keys.empty()) {
+    return Status::InvalidArgument("join key arity mismatch");
+  }
+  const Schema& build_schema = *build.batch.schema();
+  BL_ASSIGN_OR_RETURN(std::vector<int> build_cols,
+                      ResolveColumns(build_schema, build_keys));
+  BL_ASSIGN_OR_RETURN(std::vector<int> probe_cols,
+                      ResolveColumns(*probe.schema, probe_keys));
+  bool comparable = true;
+  for (size_t k = 0; k < build_cols.size(); ++k) {
+    comparable &=
+        ClassOf(build_schema.field(static_cast<size_t>(build_cols[k])).type) ==
+        ClassOf(probe.schema->field(static_cast<size_t>(probe_cols[k])).type);
+  }
+  ChunkedBatch out;
+  out.schema = JoinSchema(build_schema, *probe.schema);
+  if (matches_out != nullptr) *matches_out = 0;
+
+  // All build indexing is in logical rows (positions within the selection,
+  // or plain row ids without one).
+  std::vector<KeyColumn> build_key_cols;
+  for (int c : build_cols) {
+    build_key_cols.emplace_back(build.batch.column(static_cast<size_t>(c)));
+  }
+  JoinSide b;
+  b.keys = &build_key_cols;
+  b.sel = build.sel ? build.sel->ids().data() : nullptr;
+  b.n = build.num_rows();
+  if (!comparable || b.n == 0 || probe.num_rows() == 0) return out;
+
+  // A single fixed-width key hashes bijectively: equal hashes are equal
+  // keys, so slots never compare rows.
+  const bool exact =
+      build_key_cols.size() == 1 && build_key_cols[0].cls != KeyClass::kString;
+  JoinTable table(b, exact);
+  {
+    std::vector<uint64_t> hash(b.n);
+    std::vector<uint8_t> skip(b.n);
+    const size_t chunks = (b.n + kProbeChunkRows - 1) / kProbeChunkRows;
+    BL_RETURN_NOT_OK(RunChunks(pool, chunks, [&](size_t c) -> Status {
+      const size_t begin = c * kProbeChunkRows;
+      const size_t end = std::min(b.n, begin + kProbeChunkRows);
+      b.HashRows(begin, end, hash.data() + begin, skip.data() + begin);
+      return Status::OK();
+    }));
+    for (size_t j = 0; j < b.n; ++j) {
+      if (skip[j] == 0) table.Insert(static_cast<uint32_t>(j), hash[j]);
+    }
+  }
+
+  // Key views per probe chunk, built once and shared by its pieces.
+  std::vector<std::vector<KeyColumn>> probe_key_cols(probe.chunks.size());
+  BL_RETURN_NOT_OK(
+      ForEachChunk(pool, probe.chunks.size(), [&](size_t k) -> Status {
+        for (int c : probe_cols) {
+          probe_key_cols[k].emplace_back(
+              probe.chunks[k].batch.column(static_cast<size_t>(c)));
+        }
+        return Status::OK();
+      }));
+  // Pieces of at most kProbeChunkRows logical rows, in probe order.
+  struct Piece {
+    size_t chunk;
+    size_t begin, end;  // logical rows of the chunk
+  };
+  std::vector<Piece> pieces;
+  for (size_t k = 0; k < probe.chunks.size(); ++k) {
+    const size_t n = probe.chunks[k].num_rows();
+    for (size_t begin = 0; begin < n; begin += kProbeChunkRows) {
+      pieces.push_back(Piece{k, begin, std::min(n, begin + kProbeChunkRows)});
+    }
+  }
+  std::vector<RecordBatch> outputs(pieces.size());
+  BL_RETURN_NOT_OK(RunChunks(pool, pieces.size(), [&](size_t t) -> Status {
+    const Piece& piece = pieces[t];
+    const SelectedBatch& chunk = probe.chunks[piece.chunk];
+    JoinSide p;
+    p.keys = &probe_key_cols[piece.chunk];
+    p.sel = chunk.sel ? chunk.sel->ids().data() + piece.begin : nullptr;
+    p.base = static_cast<uint32_t>(piece.begin);
+    p.n = piece.end - piece.begin;
+    std::vector<uint64_t> hash(p.n);
+    std::vector<uint8_t> skip(p.n);
+    p.HashRows(0, p.n, hash.data(), skip.data());
+    std::vector<uint32_t> build_rows, probe_rows;
+    for (size_t j = 0; j < p.n; ++j) {
+      if (skip[j] != 0) continue;
+      const uint32_t r = p.Orig(j);
+      for (uint32_t bj = table.Find(hash[j], p, r); bj != kNoRow;
+           bj = table.Next(bj)) {
+        build_rows.push_back(b.Orig(bj));
+        probe_rows.push_back(r);
+      }
+    }
+    if (!build_rows.empty()) {
+      outputs[t] = GatherMatches(build.batch, chunk.batch, build_rows,
+                                 probe_rows, out.schema);
+    }
+    return Status::OK();
+  }));
+
+  // Pieces cover ascending probe ranges: their outputs in piece order are
+  // global probe-row order, each row's matches in build-row order.
+  uint64_t matches = 0;
+  for (RecordBatch& o : outputs) {
+    matches += o.num_rows();
+    out.Append(SelectedBatch{std::move(o), std::nullopt});
+  }
+  if (matches_out != nullptr) *matches_out = matches;
+  return out;
+}
 
 Result<RecordBatch> HashJoin(ThreadPool* pool, const RecordBatch& build,
                              const RecordBatch& probe,
@@ -179,94 +298,39 @@ Result<RecordBatch> HashJoin(ThreadPool* pool, const RecordBatch& build,
                              uint64_t* matches_out,
                              const std::vector<uint32_t>* build_sel,
                              const std::vector<uint32_t>* probe_sel) {
-  if (build_keys.size() != probe_keys.size() || build_keys.empty()) {
-    return Status::InvalidArgument("join key arity mismatch");
+  auto selected = [](const RecordBatch& batch,
+                     const std::vector<uint32_t>* sel) {
+    return SelectedBatch{batch, sel != nullptr
+                                    ? std::optional(SelectionVector(*sel))
+                                    : std::nullopt};
+  };
+  ChunkedBatch probe_chunks;
+  probe_chunks.schema = probe.schema();
+  probe_chunks.chunks.push_back(selected(probe, probe_sel));
+  BL_ASSIGN_OR_RETURN(ChunkedBatch joined,
+                      HashJoin(pool, selected(build, build_sel), probe_chunks,
+                               build_keys, probe_keys, matches_out));
+  if (joined.chunks.empty()) {
+    // No match: every column gathered at no row, encodings kept.
+    return GatherMatches(build, probe, {}, {}, joined.schema);
   }
-  BL_ASSIGN_OR_RETURN(std::vector<int> build_cols,
-                      ResolveColumns(build, build_keys));
-  BL_ASSIGN_OR_RETURN(std::vector<int> probe_cols,
-                      ResolveColumns(probe, probe_keys));
+  return std::move(joined).Contiguous(pool);
+}
 
-  // All indexing below is in logical rows (positions within the selection,
-  // or plain row ids without one). Selections are strictly ascending, so
-  // the output is row-identical to joining the gathered inputs.
-  JoinSide b, p;
-  b.sel = build_sel;
-  b.n = build_sel != nullptr ? build_sel->size() : build.num_rows();
-  p.sel = probe_sel;
-  p.n = probe_sel != nullptr ? probe_sel->size() : probe.num_rows();
-  b.keys.reserve(build_cols.size());
-  p.keys.reserve(probe_cols.size());
-  bool comparable = true;
-  for (size_t k = 0; k < build_cols.size(); ++k) {
-    b.keys.emplace_back(build.column(static_cast<size_t>(build_cols[k])));
-    p.keys.emplace_back(probe.column(static_cast<size_t>(probe_cols[k])));
-    comparable &= b.keys[k].cls == p.keys[k].cls;
+Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
+                                      const ChunkedBatch& input,
+                                      const std::vector<std::string>& group_by,
+                                      const std::vector<AggSpec>& aggregates,
+                                      AggregateStats* stats) {
+  BL_ASSIGN_OR_RETURN(HashAggregator agg,
+                      HashAggregator::Make(input.schema, group_by,
+                                           aggregates));
+  BL_RETURN_NOT_OK(agg.AddChunked(pool, input.chunks));
+  if (stats != nullptr) {
+    stats->groups = agg.num_groups();
+    stats->chunks = agg.num_chunks();
   }
-
-  std::vector<uint32_t> build_rows, probe_rows;
-  if (comparable && b.n > 0 && p.n > 0) {
-    // A single fixed-width key hashes bijectively: equal hashes are equal
-    // keys, so slots never compare rows.
-    const bool exact =
-        b.keys.size() == 1 && b.keys[0].cls != KeyClass::kString;
-    JoinTable table(b, exact);
-    {
-      std::vector<uint64_t> hash(b.n);
-      std::vector<uint8_t> skip(b.n);
-      const size_t chunks = (b.n + kProbeChunkRows - 1) / kProbeChunkRows;
-      BL_RETURN_NOT_OK(RunChunks(pool, chunks, [&](size_t c) -> Status {
-        const size_t begin = c * kProbeChunkRows;
-        const size_t end = std::min(b.n, begin + kProbeChunkRows);
-        b.HashRows(begin, end, hash.data() + begin, skip.data() + begin);
-        return Status::OK();
-      }));
-      for (size_t j = 0; j < b.n; ++j) {
-        if (skip[j] == 0) table.Insert(static_cast<uint32_t>(j), hash[j]);
-      }
-    }
-
-    struct ChunkMatches {
-      std::vector<uint32_t> build_rows;
-      std::vector<uint32_t> probe_rows;
-    };
-    const size_t chunks = (p.n + kProbeChunkRows - 1) / kProbeChunkRows;
-    std::vector<ChunkMatches> matches(chunks);
-    BL_RETURN_NOT_OK(RunChunks(pool, chunks, [&](size_t c) -> Status {
-      const size_t begin = c * kProbeChunkRows;
-      const size_t end = std::min(p.n, begin + kProbeChunkRows);
-      std::vector<uint64_t> hash(end - begin);
-      std::vector<uint8_t> skip(end - begin);
-      p.HashRows(begin, end, hash.data(), skip.data());
-      ChunkMatches& out = matches[c];
-      for (size_t j = begin; j < end; ++j) {
-        if (skip[j - begin] != 0) continue;
-        const uint32_t r = p.Orig(j);
-        for (uint32_t bj = table.Find(hash[j - begin], p, r); bj != kNoRow;
-             bj = table.Next(bj)) {
-          out.build_rows.push_back(b.Orig(bj));
-          out.probe_rows.push_back(r);
-        }
-      }
-      return Status::OK();
-    }));
-
-    // Chunks cover ascending probe ranges: concatenating them in chunk
-    // order is global probe-row order, with each row's matches in build-row
-    // order — no merge or sort, whatever the worker count.
-    size_t total = 0;
-    for (const auto& m : matches) total += m.build_rows.size();
-    build_rows.reserve(total);
-    probe_rows.reserve(total);
-    for (const auto& m : matches) {
-      build_rows.insert(build_rows.end(), m.build_rows.begin(),
-                        m.build_rows.end());
-      probe_rows.insert(probe_rows.end(), m.probe_rows.begin(),
-                        m.probe_rows.end());
-    }
-  }
-  if (matches_out != nullptr) *matches_out = build_rows.size();
-  return AssembleJoinOutput(pool, build, probe, build_rows, probe_rows);
+  return agg.Finish(/*final_step=*/true);
 }
 
 Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
@@ -275,15 +339,9 @@ Result<RecordBatch> ParallelAggregate(ThreadPool* pool,
                                       const std::vector<AggSpec>& aggregates,
                                       const std::vector<uint32_t>* selection,
                                       AggregateStats* stats) {
-  BL_ASSIGN_OR_RETURN(HashAggregator agg,
-                      HashAggregator::Make(input.schema(), group_by,
-                                           aggregates));
-  BL_RETURN_NOT_OK(agg.AddChunked(pool, input, selection));
-  if (stats != nullptr) {
-    stats->groups = agg.num_groups();
-    stats->chunks = agg.num_chunks();
-  }
-  return agg.Finish(/*final_step=*/true);
+  ChunkedBatch chunked = ChunkedBatch::Of(input);
+  if (selection != nullptr) chunked.chunks[0].sel = SelectionVector(*selection);
+  return ParallelAggregate(pool, chunked, group_by, aggregates, stats);
 }
 
 Result<RecordBatch> SortBatch(const RecordBatch& input,

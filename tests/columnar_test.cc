@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "columnar/batch.h"
+#include "columnar/buffer.h"
 #include "columnar/column.h"
 #include "columnar/expr.h"
 #include "columnar/ipc.h"
@@ -111,6 +112,130 @@ TEST(ColumnTest, ConcatTypeMismatchFails) {
   auto r = Column::Concat(
       {Column::MakeInt64({1}), Column::MakeDouble({1.0})});
   EXPECT_FALSE(r.ok());
+}
+
+// Every row's boxed value, for comparing concatenations by value.
+std::vector<Value> Values(const Column& c) {
+  std::vector<Value> out;
+  for (size_t i = 0; i < c.length(); ++i) out.push_back(c.GetValue(i));
+  return out;
+}
+
+// Each piece decoded to plain, then the values of the contributing rows in
+// order: what any concatenation must hold.
+std::vector<Value> DecodedConcat(
+    const std::vector<Column>& pieces,
+    const std::vector<const std::vector<uint32_t>*>& rows = {}) {
+  std::vector<Value> out;
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    const Column plain = pieces[i].Decode();
+    const std::vector<uint32_t>* ids = rows.empty() ? nullptr : rows[i];
+    for (size_t j = 0; j < (ids != nullptr ? ids->size() : plain.length());
+         ++j) {
+      out.push_back(plain.GetValue(ids != nullptr ? (*ids)[j] : j));
+    }
+  }
+  return out;
+}
+
+TEST(ColumnTest, ConcatKeepsADictionaryEveryPieceShares) {
+  // 6 rows over 3 entries, rows 1 and 4 NULL; slices of one column share
+  // one dictionary view.
+  Column dict = Column::MakeDictionaryString(
+      {0, 1, 2, 1, 0, 2}, {"north", "south", "east"}, {1, 0, 1, 1, 0, 1});
+  const std::vector<Column> slices = {dict.Slice(0, 2), dict.Slice(2, 3),
+                                      dict.Slice(5, 1)};
+  BufferPool pool;
+  ScopedBufferPool scope(&pool);
+  auto merged = Column::Concat(slices);
+  const BufferPool::Stats copied = pool.snapshot();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->encoding(), Encoding::kDictionary);
+  EXPECT_TRUE(merged->dictionary().SharesStorageWith(dict.dictionary()));
+  EXPECT_EQ(Values(*merged), DecodedConcat(slices));
+  EXPECT_EQ(merged->NullCount(), 2u);
+  // Only codes and validity were copied: 6 x 4 bytes + 6 bytes.
+  EXPECT_EQ(copied.bytes_copied, 6u * 4 + 6);
+  EXPECT_EQ(copied.string_arenas, 0u);
+
+  // Gathers of one dictionary share it too, and ConcatRows gathers on the
+  // way without a separate copy.
+  const std::vector<uint32_t> odd = {1, 3, 5};
+  const std::vector<Column> gathered = {dict.Gather({5, 0}), dict};
+  auto picked = Column::ConcatRows(gathered, {nullptr, &odd});
+  ASSERT_TRUE(picked.ok());
+  EXPECT_EQ(picked->encoding(), Encoding::kDictionary);
+  EXPECT_EQ(Values(*picked), DecodedConcat(gathered, {nullptr, &odd}));
+}
+
+TEST(ColumnTest, ConcatDecodesPiecesWithDifferentDictionaries) {
+  Column a = Column::MakeDictionaryString({0, 1, 0}, {"x", "y"}, {1, 1, 0});
+  Column b = Column::MakeDictionaryString({1, 0}, {"x", "z"});
+  Column plain = Column::MakeString({"p", "", "q"}, {1, 0, 1});
+  // Equal entries in another arena are a different dictionary.
+  Column a_copy = Column::MakeDictionaryString({1}, {"x", "y"});
+  for (const std::vector<Column>& pieces :
+       {std::vector<Column>{a, b}, std::vector<Column>{a, plain, b},
+        std::vector<Column>{a, a_copy}}) {
+    auto merged = Column::Concat(pieces);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    EXPECT_EQ(merged->encoding(), Encoding::kPlain);
+    EXPECT_EQ(Values(*merged), DecodedConcat(pieces));
+  }
+}
+
+TEST(ColumnTest, ConcatRowsMatchesGatherThenConcat) {
+  Random rng(7);
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint8_t> valid;
+  std::vector<std::string> strs;
+  for (int i = 0; i < 300; ++i) {
+    ints.push_back(static_cast<int64_t>(rng.Uniform(1000)));
+    doubles.push_back(rng.NextDouble());
+    valid.push_back(rng.Uniform(5) != 0);
+    strs.push_back("s" + std::to_string(rng.Uniform(40)));
+  }
+  const std::vector<Column> kinds = {
+      Column::MakeInt64(ints, valid), Column::MakeDouble(doubles, valid),
+      Column::MakeString(strs, valid),
+      Column::MakeRunLengthInt64({4, 9, 4, 1}, {100, 50, 125, 25})};
+  std::vector<uint32_t> sel_a, sel_b;
+  for (uint32_t r = 0; r < 100; r += 3) sel_a.push_back(r);
+  for (uint32_t r = 1; r < 150; r += 7) sel_b.push_back(r);
+  for (const Column& c : kinds) {
+    SCOPED_TRACE(DataTypeName(c.type()));
+    const std::vector<Column> pieces = {c.Slice(0, 100), c.Slice(100, 50),
+                                        c.Slice(150, 150)};
+    const std::vector<const std::vector<uint32_t>*> rows = {&sel_a, nullptr,
+                                                            &sel_b};
+    auto got = Column::ConcatRows(pieces, rows);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = Column::Concat({pieces[0].Gather(sel_a), pieces[1],
+                                pieces[2].Gather(sel_b)});
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(Values(*got), Values(*want));
+    EXPECT_EQ(Values(*got), DecodedConcat(pieces, rows));
+    EXPECT_EQ(SerializeBatch(RecordBatch(
+                  MakeSchema({{"c", c.type(), true}}), {*got})),
+              SerializeBatch(RecordBatch(
+                  MakeSchema({{"c", c.type(), true}}), {*want})));
+
+    // The same job copied in piece ranges, in any order, is the same column.
+    auto job = Column::ConcatJob::Make(pieces, rows);
+    ASSERT_TRUE(job.ok());
+    job->Measure(2, 3);
+    job->Measure(0, 2);
+    job->Allocate();
+    job->Size();
+    job->Fill(1, 3);
+    job->Fill(0, 1);
+    Column split = job->Finish();
+    EXPECT_EQ(SerializeBatch(RecordBatch(
+                  MakeSchema({{"c", c.type(), true}}), {split})),
+              SerializeBatch(RecordBatch(
+                  MakeSchema({{"c", c.type(), true}}), {*got})));
+  }
 }
 
 TEST(ColumnBuilderTest, MixedNulls) {

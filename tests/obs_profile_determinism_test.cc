@@ -144,13 +144,15 @@ TEST(ObsProfileDeterminismTest, TpcdsProfileHasFourLevelsAndConsistentSums) {
             result->stats.rows_returned);
 
   // The aggregate span attributes its work like the join's build/probe
-  // rows: input rows, distinct groups and fixed 4096-row chunks.
+  // rows: input rows, distinct groups and fixed 4096-row partial cuts; its
+  // output is one chunk.
   const obs::Span* agg = FindSpan(profile.root(), "op:aggregate");
   ASSERT_NE(agg, nullptr);
   const uint64_t input_rows = agg->nums().at("input_rows");
   EXPECT_GT(input_rows, 4096u);
   EXPECT_EQ(agg->nums().at("groups"), result->batch.num_rows());
-  EXPECT_EQ(agg->nums().at("chunks"), (input_rows + 4095) / 4096);
+  EXPECT_EQ(agg->nums().at("partials"), (input_rows + 4095) / 4096);
+  EXPECT_EQ(agg->nums().at("chunks"), 1u);
 
   // Exports render without error and agree on shape.
   std::string text = profile.ToText();
@@ -237,6 +239,66 @@ TEST(ObsProfileDeterminismTest, ReusedEngineChargesRepeatQueriesIdentically) {
   EXPECT_EQ(SerializeBatch(a->batch), SerializeBatch(b->batch));
   EXPECT_EQ(a->stats.total_micros, b->stats.total_micros);
   EXPECT_EQ(a->stats.wall_micros, b->stats.wall_micros);
+}
+
+// The operator and materialization nums of `span`'s subtree in tree order:
+// each operator's `chunks` and `rows_out`, each `materialize` span's `rows`,
+// `pieces` and `bytes_copied`.
+void CollectChunkNums(const obs::Span* span, std::vector<std::string>* out) {
+  auto num = [&](const char* key) {
+    auto it = span->nums().find(key);
+    return std::string(key) + "=" +
+           (it == span->nums().end() ? "-" : std::to_string(it->second));
+  };
+  if (span->kind() == obs::Span::kOperator) {
+    out->push_back(span->name() + " " + num("chunks") + " " + num("rows_out"));
+  } else if (span->name() == "materialize") {
+    out->push_back(span->name() + " " + num("rows") + " " + num("pieces") +
+                   " " + num("bytes_copied"));
+  }
+  for (const auto& child : span->children()) {
+    CollectChunkNums(child.get(), out);
+  }
+}
+
+// Chunk lists and the copies made from them depend only on the data: the
+// scans below open one read stream per worker, yet every operator's chunk
+// count and every contiguity point's rows, pieces and bytes copied are the
+// same at 1, 2 and 8 workers.
+TEST(ObsProfileDeterminismTest, ChunkAndMaterializeNumsAreWorkerCountInvariant) {
+  TpcdsScale scale = BigScale();
+  std::vector<std::string> first;
+  for (uint32_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(workers);
+    World w(scale);
+    EngineOptions opts;
+    opts.num_workers = workers;
+    QueryEngine engine(&w.lake, &w.api, opts);
+    const ExprPtr cheap =
+        Expr::Lt(Expr::Col("ss_sales_price"), Expr::Lit(Value::Double(20.0)));
+    const std::vector<PlanPtr> plans = {
+        StarQuery(w.tables),
+        Plan::Scan(w.tables.store_sales),
+        Plan::OrderBy(Plan::Filter(Plan::Scan(w.tables.store_sales), cheap),
+                      {{"ss_sales_price", true}, {"ss_item_id", false}}),
+        Plan::Limit(Plan::HashJoin(Plan::Scan(w.tables.store_sales),
+                                   Plan::Scan(w.tables.item), {"ss_item_id"},
+                                   {"i_item_id"}),
+                    5000)};
+    std::vector<std::string> nums;
+    for (const PlanPtr& plan : plans) {
+      obs::QueryProfile profile;
+      auto r = engine.Execute("u", plan, &profile);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      CollectChunkNums(profile.root(), &nums);
+    }
+    ASSERT_GT(nums.size(), 10u);
+    if (first.empty()) {
+      first = nums;
+    } else {
+      EXPECT_EQ(nums, first);
+    }
+  }
 }
 
 }  // namespace
