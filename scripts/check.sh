@@ -4,7 +4,7 @@
 # Each sanitizer uses its own build dir so the plain `build/` cache (and its
 # generator choice) is never disturbed.
 #
-# Usage: scripts/check.sh [plain|novec|asan|tsan|chaos|resultcache|txn|sched|zerocopy|bench|docs]...
+# Usage: scripts/check.sh [plain|novec|asan|tsan|chaos|resultcache|txn|sched|zerocopy|bench|docs|loc]...
 # (default: all)
 set -eu
 
@@ -22,6 +22,15 @@ do_plain() { run_suite build; }
 do_asan()  { run_suite build-asan -DBL_SANITIZE=address; }
 do_tsan()  { run_suite build-tsan -DBL_SANITIZE=thread; }
 do_docs()  { "$ROOT/scripts/check_metrics_doc.sh"; }
+
+# Size of the library: lines of .cc and .h under src/, the net figure a
+# change that deletes code should lower.
+do_loc() {
+  local lines
+  lines=$(find "$ROOT/src" -type f \( -name '*.cc' -o -name '*.h' \) \
+    -exec cat {} + | wc -l)
+  echo "src/ .cc/.h lines: $lines"
+}
 
 # Expression-kernel correctness must never depend on the compiler actually
 # vectorizing the flat loops: rebuild with auto-vectorization disabled and
@@ -132,7 +141,7 @@ do_sched() {
 
 stages=("$@")
 if [[ ${#stages[@]} -eq 0 ]]; then
-  stages=(plain novec asan tsan chaos resultcache txn sched zerocopy bench docs)
+  stages=(plain novec asan tsan chaos resultcache txn sched zerocopy bench docs loc)
 fi
 
 for stage in "${stages[@]}"; do

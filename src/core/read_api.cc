@@ -19,7 +19,60 @@
 
 namespace biglake {
 
+struct ReadSessionState {
+  /// The id of the session this state was made for; a session carrying
+  /// another's state is NotFound.
+  std::string session_id;
+  ReadSessionOptions options;
+  Principal principal;
+  const TableDef* table = nullptr;
+  Credential credential;  // delegated, scoped to the table prefix
+  /// Resolved fine-grained policy over every column the session reads:
+  /// requested, predicate, pushed-aggregate inputs and group keys.
+  EffectiveAccess access;
+  /// The predicate's conjuncts that touch no masked column: the only part
+  /// raw file and row-group statistics may prune with.
+  ExprPtr prune_predicate;
+  /// The predicate's masked columns; the predicate sees their masked
+  /// values, so it never filters on what the caller may not read.
+  std::set<std::string> masked_predicate_cols;
+  std::vector<std::string> read_columns;  // pre-mask projection
+  /// Block-cache projection key of a scan reading every table column; a
+  /// narrower projection is served as a view of that block when resident.
+  uint64_t full_projection_fp = 0;
+  /// Per-stream overlap (see StreamOverlapSaved); slot s is written only
+  /// by the task reading stream s.
+  std::vector<SimMicros> overlap_saved;
+};
+
 namespace {
+
+/// The state `session` carries, or NotFound when it carries none or
+/// another session's.
+Result<ReadSessionState*> StateOf(const ReadSession& session) {
+  if (session.state == nullptr ||
+      session.state->session_id != session.session_id) {
+    return Status::NotFound(StrCat("no session `", session.session_id, "`"));
+  }
+  return session.state.get();
+}
+
+/// NotFound unless every name in `cols` is a column of `table` or one of
+/// its hive partition columns.
+Status CheckColumnsExist(const TableDef& table,
+                         const std::set<std::string>& cols) {
+  for (const auto& name : cols) {
+    bool is_partition_col =
+        std::find(table.partition_columns.begin(),
+                  table.partition_columns.end(),
+                  name) != table.partition_columns.end();
+    if (table.schema->FieldIndex(name) < 0 && !is_partition_col) {
+      return Status::NotFound(
+          StrCat("no column `", name, "` in table `", table.id(), "`"));
+    }
+  }
+  return Status::OK();
+}
 
 /// Greedy balanced assignment of files to at most `max_streams` streams.
 std::vector<ReadStream> AssignStreams(std::vector<CachedFileMeta> files,
@@ -231,31 +284,11 @@ Result<PrunedFiles> StorageReadApi::CollectFiles(const TableDef& table,
     if (result.files.empty() && result.pruned == 0) {
       result.first_partition = entry.file.partition;
     }
-    for (size_t c = 0; c < meta->schema->num_fields(); ++c) {
-      entry.file.column_stats[meta->schema->field(c).name] =
-          meta->FileColumnStats(c);
-    }
-    if (predicate != nullptr) {
-      // Stack-local scratch for partition-column pseudo-stats: pointers
-      // handed to EvaluatePrune stay valid for the call only, and no state
-      // leaks across calls or threads.
-      ColumnStats scratch;
-      auto lookup = [&](const std::string& col) -> const ColumnStats* {
-        for (const auto& [pcol, pval] : entry.file.partition) {
-          if (pcol == col && !pval.is_null()) {
-            scratch.min = pval;
-            scratch.max = pval;
-            scratch.row_count = entry.file.row_count;
-            return &scratch;
-          }
-        }
-        auto sit = entry.file.column_stats.find(col);
-        return sit == entry.file.column_stats.end() ? nullptr : &sit->second;
-      };
-      if (predicate->EvaluatePrune(lookup) == PruneResult::kCannotMatch) {
-        ++result.pruned;
-        continue;
-      }
+    entry.file.column_stats = meta->FileColumnStatsByName();
+    if (predicate != nullptr &&
+        PruneDataFile(*predicate, entry.file) == PruneResult::kCannotMatch) {
+      ++result.pruned;
+      continue;
     }
     result.files.push_back(std::move(entry));
   }
@@ -333,16 +366,7 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
   if (access.row_filter != nullptr) {
     access.row_filter->CollectColumns(&scan_cols);
   }
-  for (const auto& name : scan_cols) {
-    bool is_partition_col =
-        std::find(table->partition_columns.begin(),
-                  table->partition_columns.end(),
-                  name) != table->partition_columns.end();
-    if (table->schema->FieldIndex(name) < 0 && !is_partition_col) {
-      return Status::NotFound(StrCat("no column `", name, "` in table `",
-                                     table_id, "`"));
-    }
-  }
+  BL_RETURN_NOT_OK(CheckColumnsExist(*table, scan_cols));
 
   ReadSession session;
   session.session_id = StrCat("rs-", next_session_++);
@@ -412,21 +436,22 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
     if (stats.ok()) session.table_stats = std::move(stats).value();
   }
 
-  SessionState state;
-  state.options = options;
-  state.principal = principal;
-  state.table = table;
-  state.credential = credential;
-  state.access = access;
-  state.prune_predicate = prune_predicate;
-  state.masked_predicate_cols =
+  auto state = std::make_shared<ReadSessionState>();
+  state->session_id = session.session_id;
+  state->options = options;
+  state->principal = principal;
+  state->table = table;
+  state->credential = std::move(credential);
+  state->masked_predicate_cols =
       MaskedRefs(options.predicate, access.masked_columns);
-  state.read_columns.assign(scan_cols.begin(), scan_cols.end());
+  state->access = std::move(access);
+  state->prune_predicate = prune_predicate;
+  state->read_columns.assign(scan_cols.begin(), scan_cols.end());
   std::vector<std::string> all_columns;
   for (const Field& f : table->schema->fields()) all_columns.push_back(f.name);
-  state.full_projection_fp = cache::ProjectionFingerprint(all_columns);
-  state.overlap_saved.assign(session.streams.size(), 0);
-  sessions_[session.session_id] = std::move(state);
+  state->full_projection_fp = cache::ProjectionFingerprint(all_columns);
+  state->overlap_saved.assign(session.streams.size(), 0);
+  session.state = std::move(state);
 
   auto& reg = obs::MetricsRegistry::Default();
   reg.GetHistogram(METRIC_READAPI_STREAM_FANOUT, {},
@@ -441,29 +466,17 @@ Result<ReadSession> StorageReadApi::CreateReadSession(
 
 Result<ReadSession> StorageReadApi::RefineSession(
     const ReadSession& session, const ExprPtr& extra_predicate) {
-  auto sit = sessions_.find(session.session_id);
-  if (sit == sessions_.end()) {
-    return Status::NotFound(StrCat("no session `", session.session_id, "`"));
-  }
+  BL_ASSIGN_OR_RETURN(const ReadSessionState* base_state, StateOf(session));
   if (extra_predicate == nullptr) {
     return Status::InvalidArgument("RefineSession requires a predicate");
   }
-  const SessionState& base = sit->second;
+  const ReadSessionState& base = *base_state;
   const TableDef& table = *base.table;
   // Validate the new predicate's columns and govern them like
   // CreateReadSession does.
   std::set<std::string> extra_cols;
   extra_predicate->CollectColumns(&extra_cols);
-  for (const auto& name : extra_cols) {
-    bool is_partition_col =
-        std::find(table.partition_columns.begin(),
-                  table.partition_columns.end(),
-                  name) != table.partition_columns.end();
-    if (table.schema->FieldIndex(name) < 0 && !is_partition_col) {
-      return Status::NotFound(
-          StrCat("no column `", name, "` in table `", table.id(), "`"));
-    }
-  }
+  BL_RETURN_NOT_OK(CheckColumnsExist(table, extra_cols));
   BL_ASSIGN_OR_RETURN(
       EffectiveAccess extra_access,
       ResolveAccess(table.policy, base.principal,
@@ -489,21 +502,8 @@ Result<ReadSession> StorageReadApi::RefineSession(
   uint64_t pruned_count = 0;
   for (const ReadStream& stream : session.streams) {
     for (const CachedFileMeta& f : stream.files) {
-      ColumnStats scratch;  // per-file scratch; see CollectFiles
-      auto lookup = [&](const std::string& col) -> const ColumnStats* {
-        for (const auto& [pcol, pval] : f.file.partition) {
-          if (pcol == col && !pval.is_null()) {
-            scratch.min = pval;
-            scratch.max = pval;
-            scratch.row_count = f.file.row_count;
-            return &scratch;
-          }
-        }
-        auto cit = f.file.column_stats.find(col);
-        return cit == f.file.column_stats.end() ? nullptr : &cit->second;
-      };
       if (extra_prunable != nullptr &&
-          extra_prunable->EvaluatePrune(lookup) ==
+          PruneDataFile(*extra_prunable, f.file) ==
               PruneResult::kCannotMatch) {
         ++pruned_count;
         continue;
@@ -517,34 +517,31 @@ Result<ReadSession> StorageReadApi::RefineSession(
   span.AddNum("files_pruned", pruned_count);
   span.AddNum("streams", refined.streams.size());
 
-  SessionState state = base;
-  state.options.predicate =
-      state.options.predicate == nullptr
+  auto state = std::make_shared<ReadSessionState>(base);
+  state->session_id = refined.session_id;
+  state->options.predicate =
+      state->options.predicate == nullptr
           ? extra_predicate
-          : Expr::And(state.options.predicate, extra_predicate);
-  state.access.masked_columns = std::move(masks);
-  state.prune_predicate =
-      PrunablePart(state.options.predicate, state.access.masked_columns);
-  state.masked_predicate_cols =
-      MaskedRefs(state.options.predicate, state.access.masked_columns);
+          : Expr::And(state->options.predicate, extra_predicate);
+  state->access.masked_columns = std::move(masks);
+  state->prune_predicate =
+      PrunablePart(state->options.predicate, state->access.masked_columns);
+  state->masked_predicate_cols =
+      MaskedRefs(state->options.predicate, state->access.masked_columns);
   for (const auto& c : extra_cols) {
-    if (std::find(state.read_columns.begin(), state.read_columns.end(), c) ==
-        state.read_columns.end()) {
-      state.read_columns.push_back(c);
+    if (std::find(state->read_columns.begin(), state->read_columns.end(),
+                  c) == state->read_columns.end()) {
+      state->read_columns.push_back(c);
     }
   }
-  state.overlap_saved.assign(refined.streams.size(), 0);
-  sessions_[refined.session_id] = std::move(state);
+  state->overlap_saved.assign(refined.streams.size(), 0);
+  refined.state = std::move(state);
   return refined;
 }
 
 Result<std::vector<BatchHandle>> StorageReadApi::ReadStreamHandles(
     const ReadSession& session, size_t stream_index) {
-  auto sit = sessions_.find(session.session_id);
-  if (sit == sessions_.end()) {
-    return Status::NotFound(StrCat("no session `", session.session_id, "`"));
-  }
-  SessionState& state = sit->second;
+  BL_ASSIGN_OR_RETURN(ReadSessionState * state, StateOf(session));
   if (stream_index >= session.streams.size()) {
     return Status::OutOfRange(StrCat("stream ", stream_index, " of ",
                                      session.streams.size()));
@@ -554,7 +551,7 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadStreamHandles(
   const std::string stream_key = StrCat(session.session_id, "/", stream_index);
   return fault::RetryResult<std::vector<BatchHandle>>(
       &env_->sim(), options_.retry, FaultSite::kReadRows, stream_key, [&] {
-        return ReadRowsAttempt(session, state, stream_index, stream_key);
+        return ReadRowsAttempt(session, *state, stream_index, stream_key);
       });
 }
 
@@ -571,9 +568,10 @@ Result<std::vector<std::string>> StorageReadApi::ReadRows(
 }
 
 Result<StorageReadApi::FileBlocks> StorageReadApi::FetchFileBlocks(
-    const SessionState& state, const TableDef& table, const ObjectStore* store,
-    const CallerContext& ctx, const CachedFileMeta& fm,
-    cache::BlockCache* cache, uint64_t projection_fp) const {
+    const ReadSessionState& state, const TableDef& table,
+    const ObjectStore* store, const CallerContext& ctx,
+    const CachedFileMeta& fm, cache::BlockCache* cache,
+    uint64_t projection_fp) const {
   FileBlocks out;
   // Delegated-access check on every object touched.
   BL_RETURN_NOT_OK(CheckCredential(state.credential, table.bucket,
@@ -715,7 +713,7 @@ Result<StorageReadApi::FileBlocks> StorageReadApi::FetchFileBlocks(
 }
 
 Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
-    const ReadSession& session, SessionState& state, size_t stream_index,
+    const ReadSession& session, ReadSessionState& state, size_t stream_index,
     const std::string& stream_key) {
   const ReadStream& stream = session.streams[stream_index];
   const TableDef& table = *state.table;
@@ -882,149 +880,148 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
     return Status::OK();
   };
 
+  // The readahead window: files are consumed strictly in file order from a
+  // window of up to `window` fetch+decode units. A window of one fetches
+  // each file inline on this thread, under the caller's own shard, metrics
+  // delta and cache txn. A wider window keeps its units in flight on the
+  // dedicated pool, double-buffered against this consumer: each unit
+  // accumulates its simulated charges in a private ChargeShard and its
+  // cache mutations in a private CacheTxn, and is folded back here in file
+  // order, so the clock, every counter and the cache end up bit-identical
+  // to the window of one at any depth and worker count. The wall-clock
+  // benefit of the overlap is accounted analytically below (overlap_saved),
+  // never by racing the fold order.
   const size_t num_files = stream.files.size();
-  const uint32_t depth = static_cast<uint32_t>(std::min<size_t>(
-      state.options.readahead_depth, num_files));
+  const size_t window = std::max<size_t>(
+      1, std::min<size_t>(state.options.readahead_depth, num_files));
   // Per-file cancellation checkpoints. Inside a scan region this thread's
   // clock view is its stream shard (base + own charges), so a deadline
-  // expires after the same file at any worker count.
+  // expires at the same file at any worker count.
   const CancelToken* cancel_token = CurrentCancelToken();
-  if (depth <= 1) {
-    // Synchronous path: fetch+decode inline, exactly the pre-pipeline
-    // behavior (and bit-identical to it when the cache is disabled).
-    for (const CachedFileMeta& fm : stream.files) {
-      if (cancel_token != nullptr) BL_RETURN_NOT_OK(cancel_token->Check());
-      std::optional<obs::ScopedSpan> cache_span;
-      if (cache != nullptr) {
-        cache_span.emplace("cache:file", obs::Span::kObjstore);
-        cache_span->SetAttr("path", fm.file.path);
-      }
-      BL_ASSIGN_OR_RETURN(FileBlocks fb,
-                          FetchFileBlocks(state, table, store, ctx, fm, cache,
-                                          projection_fp));
-      if (cache_span) {
-        cache_span->AddNum("hits", fb.cache_hits);
-        cache_span->AddNum("misses", fb.cache_misses);
-        cache_span.reset();
-      }
-      BL_RETURN_NOT_OK(process_file(fm, fb));
-    }
-  } else {
-    // Prefetching pipeline: a sliding window of `depth` fetch+decode units
-    // in flight on the dedicated pool, double-buffered against this
-    // consumer. Each unit accumulates its simulated charges in a private
-    // ChargeShard and its cache mutations in a private CacheTxn; the
-    // consumer folds units back *in file order*, so the clock, every
-    // counter and the cache end up bit-identical to the synchronous path at
-    // any worker count. The wall-clock benefit of the overlap is accounted
-    // analytically below (overlap_saved), never by racing the fold order.
-    struct PrefetchUnit {
-      ChargeShard shard;
-      cache::CacheTxn txn;
-      Result<FileBlocks> result{Status::Internal("prefetch unit pending")};
-      std::promise<void> done;
-      std::future<void> ready;
-    };
-    ThreadPool* pool = prefetch_pool();
-    std::vector<std::unique_ptr<PrefetchUnit>> units(num_files);
-    auto& mreg = obs::MetricsRegistry::Default();
-    obs::Counter* issued_metric = mreg.GetCounter(METRIC_PREFETCH_ISSUED);
-    obs::Counter* wasted_metric = mreg.GetCounter(METRIC_PREFETCH_WASTED);
-    auto issue = [&](size_t j) {
-      auto unit = std::make_unique<PrefetchUnit>();
-      unit->shard.base_now = env_->sim().clock().Now();
-      unit->ready = unit->done.get_future();
-      PrefetchUnit* u = unit.get();
-      units[j] = std::move(unit);
-      issued_metric->Increment();
-      env_->sim().counters().Add("readapi.prefetch_issued", 1);
-      const CachedFileMeta* fmp = &stream.files[j];
-      pool->Submit([this, u, fmp, &state, &table, store, ctx, cache,
-                    projection_fp, cancel_token] {
-        ScopedChargeShard charge_scope(&u->shard);
-        cache::ScopedCacheTxn txn_scope(&u->txn);
-        ScopedCancelToken cancel_scope(cancel_token);
-        // Checkpoint against the unit's issue-time clock view (its shard
-        // base): a unit issued after the deadline expired fails without
-        // fetching, deterministically at any worker count.
-        Status admitted =
-            cancel_token != nullptr ? cancel_token->Check() : Status::OK();
-        if (admitted.ok()) {
-          u->result = FetchFileBlocks(state, table, store, ctx, *fmp, cache,
-                                      projection_fp);
-        } else {
-          u->result = std::move(admitted);
-        }
-        u->done.set_value();
-      });
-    };
-    size_t issued = 0;
-    for (; issued < depth; ++issued) issue(issued);
-    std::vector<SimMicros> unit_micros;
+  struct PrefetchUnit {
+    ChargeShard shard;
+    cache::CacheTxn txn;
+    Result<FileBlocks> result{Status::Internal("prefetch unit pending")};
+    std::promise<void> done;
+    std::future<void> ready;
+  };
+  ThreadPool* pool = nullptr;  // set for a window wider than one
+  std::vector<std::unique_ptr<PrefetchUnit>> units;
+  std::vector<SimMicros> unit_micros;
+  obs::Counter* issued_metric = nullptr;
+  obs::Counter* wasted_metric = nullptr;
+  if (window > 1) {
+    pool = prefetch_pool();
+    units.resize(num_files);
     unit_micros.reserve(num_files);
-    Status first_error;
-    uint64_t wasted = 0;
-    for (size_t i = 0; i < issued; ++i) {
-      PrefetchUnit& u = *units[i];
-      u.ready.wait();
-      // Consumer-side checkpoint, before this unit is processed: units
-      // already in flight still fold below (their charges are real), they
-      // just count as wasted once the stream is being torn down.
-      if (first_error.ok() && cancel_token != nullptr) {
-        Status c = cancel_token->Check();
-        if (!c.ok()) first_error = std::move(c);
+    auto& mreg = obs::MetricsRegistry::Default();
+    issued_metric = mreg.GetCounter(METRIC_PREFETCH_ISSUED);
+    wasted_metric = mreg.GetCounter(METRIC_PREFETCH_WASTED);
+  }
+  // Issues the next file: a window of one fetches it when it is consumed; a
+  // wider one submits its unit to the pool now.
+  size_t issued = 0;
+  auto issue = [&] {
+    const size_t j = issued++;
+    if (pool == nullptr) return;
+    auto unit = std::make_unique<PrefetchUnit>();
+    unit->shard.base_now = env_->sim().clock().Now();
+    unit->ready = unit->done.get_future();
+    PrefetchUnit* u = unit.get();
+    units[j] = std::move(unit);
+    issued_metric->Increment();
+    env_->sim().counters().Add("readapi.prefetch_issued", 1);
+    const CachedFileMeta* fmp = &stream.files[j];
+    pool->Submit([this, u, fmp, &state, &table, store, ctx, cache,
+                  projection_fp, cancel_token] {
+      ScopedChargeShard charge_scope(&u->shard);
+      cache::ScopedCacheTxn txn_scope(&u->txn);
+      ScopedCancelToken cancel_scope(cancel_token);
+      // Checkpoint against the unit's issue-time clock view (its shard
+      // base): a unit issued after the deadline expired fails without
+      // fetching, deterministically at any worker count.
+      Status admitted =
+          cancel_token != nullptr ? cancel_token->Check() : Status::OK();
+      if (admitted.ok()) {
+        u->result = FetchFileBlocks(state, table, store, ctx, *fmp, cache,
+                                    projection_fp);
+      } else {
+        u->result = std::move(admitted);
       }
-      std::optional<obs::ScopedSpan> prefetch_span;
-      if (first_error.ok()) {
-        prefetch_span.emplace("prefetch:file", obs::Span::kObjstore);
-        prefetch_span->SetAttr("path", stream.files[i].file.path);
-      }
+      u->done.set_value();
+    });
+  };
+  while (issued < std::min(window, num_files)) issue();
+  Status first_error;
+  uint64_t wasted = 0;
+  for (size_t i = 0; i < issued; ++i) {
+    const CachedFileMeta& fm = stream.files[i];
+    std::unique_ptr<PrefetchUnit> unit =
+        pool != nullptr ? std::move(units[i]) : nullptr;
+    if (unit != nullptr) unit->ready.wait();
+    // Consumer-side checkpoint, before file i is fetched or folded: units
+    // already in flight still fold below (their charges are real), they
+    // just count as wasted once the stream is being torn down.
+    if (first_error.ok() && cancel_token != nullptr) {
+      Status c = cancel_token->Check();
+      if (!c.ok()) first_error = std::move(c);
+    }
+    std::optional<obs::ScopedSpan> file_span;
+    if (first_error.ok()) {
+      file_span.emplace("readapi:file", obs::Span::kObjstore);
+      if (file_span->get() != nullptr) file_span->SetAttr("path", fm.file.path);
+    }
+    std::optional<Result<FileBlocks>> fetched_inline;
+    if (unit == nullptr) {
+      if (!first_error.ok()) continue;
+      fetched_inline.emplace(FetchFileBlocks(state, table, store, ctx, fm,
+                                             cache, projection_fp));
+    } else {
       // Fold the unit in file order — even when draining after an error,
       // so the charges and the cache state never depend on where in the
       // window the failure landed or on pool scheduling.
-      env_->sim().clock().Advance(u.shard.advanced);
-      for (const auto& [key, delta] : u.shard.counters) {
+      env_->sim().clock().Advance(unit->shard.advanced);
+      for (const auto& [key, delta] : unit->shard.counters) {
         env_->sim().counters().Add(key, delta);
       }
-      env_->block_cache().FoldTxn(&u.txn);
-      unit_micros.push_back(u.shard.advanced);
+      env_->block_cache().FoldTxn(&unit->txn);
+      unit_micros.push_back(unit->shard.advanced);
       if (!first_error.ok()) {
         ++wasted;
-        units[i].reset();
         continue;
       }
-      if (!u.result.ok()) {
-        first_error = u.result.status();
-        units[i].reset();
-        continue;
-      }
-      if (prefetch_span) {
-        prefetch_span->AddNum("sim_micros", u.shard.advanced);
-        prefetch_span->AddNum("hits", u.result->cache_hits);
-        prefetch_span->AddNum("misses", u.result->cache_misses);
-      }
-      Status processed = process_file(stream.files[i], *u.result);
-      units[i].reset();
-      if (!processed.ok()) {
-        first_error = processed;
-        continue;
-      }
-      if (issued < num_files) issue(issued++);
     }
-    if (wasted > 0) {
-      wasted_metric->Add(wasted);
-      env_->sim().counters().Add("readapi.prefetch_wasted", wasted);
+    const Result<FileBlocks>& fetched =
+        unit != nullptr ? unit->result : *fetched_inline;
+    if (!fetched.ok()) {
+      first_error = fetched.status();
+      continue;
     }
-    BL_RETURN_NOT_OK(first_error);
-    // Analytic overlap: within each consecutive window of `depth` units the
+    file_span->AddNum("hits", fetched->cache_hits);
+    file_span->AddNum("misses", fetched->cache_misses);
+    file_span.reset();
+    Status processed = process_file(fm, *fetched);
+    if (!processed.ok()) {
+      first_error = std::move(processed);
+      continue;
+    }
+    if (issued < num_files) issue();
+  }
+  if (wasted > 0) {
+    wasted_metric->Add(wasted);
+    env_->sim().counters().Add("readapi.prefetch_wasted", wasted);
+  }
+  BL_RETURN_NOT_OK(first_error);
+  if (pool != nullptr) {
+    // Analytic overlap: within each consecutive window of units the
     // critical path pays only the slowest unit; the rest was hidden behind
     // it. Total (resource) simulated time is untouched — only the
     // per-stream wall estimate the engines compute shrinks by `saved`.
     SimMicros saved = 0;
-    for (size_t w = 0; w < unit_micros.size(); w += depth) {
+    for (size_t w = 0; w < unit_micros.size(); w += window) {
       SimMicros sum = 0;
       SimMicros slowest = 0;
-      size_t end = std::min<size_t>(unit_micros.size(), w + depth);
+      size_t end = std::min<size_t>(unit_micros.size(), w + window);
       for (size_t k = w; k < end; ++k) {
         sum += unit_micros[k];
         slowest = std::max(slowest, unit_micros[k]);
@@ -1073,11 +1070,11 @@ Result<std::vector<BatchHandle>> StorageReadApi::ReadRowsAttempt(
   return responses;
 }
 
-SimMicros StorageReadApi::StreamOverlapSaved(const std::string& session_id,
-                                             size_t stream_index) const {
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return 0;
-  const std::vector<SimMicros>& saved = it->second.overlap_saved;
+SimMicros StorageReadApi::StreamOverlapSaved(const ReadSession& session,
+                                             size_t stream_index) {
+  auto state = StateOf(session);
+  if (!state.ok()) return 0;
+  const std::vector<SimMicros>& saved = (*state)->overlap_saved;
   return stream_index < saved.size() ? saved[stream_index] : 0;
 }
 

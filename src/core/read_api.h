@@ -22,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,8 @@ struct ReadSessionOptions {
   /// order, so results and counters are bit-identical at any depth or
   /// worker count; the analytic overlap (I/O hidden behind the window) is
   /// reported separately and subtracted from per-stream wall time.
-  /// 0 = fetch synchronously (the pre-pipeline behavior).
+  /// 0 or 1 = a window of one: each file is fetched inline on the stream's
+  /// own thread, with nothing overlapped.
   uint32_t readahead_depth = 0;
 };
 
@@ -89,6 +89,11 @@ struct ReadStream {
   std::vector<CachedFileMeta> files;
   uint64_t estimated_rows = 0;
 };
+
+/// A session's server-side state: the options, the delegated credential,
+/// the resolved governance and the per-stream overlap. Opaque to callers;
+/// defined in read_api.cc.
+struct ReadSessionState;
 
 /// The result of CreateReadSession.
 struct ReadSession {
@@ -105,6 +110,10 @@ struct ReadSession {
   /// Diagnostics surfaced to benches.
   uint64_t files_pruned = 0;
   uint64_t files_total = 0;
+  /// Shared by every copy of the session and freed with the last one: the
+  /// Read API keeps no per-session state of its own. A session whose state
+  /// is missing or belongs to another id is NotFound.
+  std::shared_ptr<ReadSessionState> state;
 };
 
 struct ReadApiOptions {
@@ -177,33 +186,10 @@ class StorageReadApi {
   /// Engines subtract this from per-stream virtual elapsed time when
   /// computing analytic wall time; total resource time is unaffected.
   /// Serial context only (call after the scan's parallel region joined).
-  SimMicros StreamOverlapSaved(const std::string& session_id,
-                               size_t stream_index) const;
+  static SimMicros StreamOverlapSaved(const ReadSession& session,
+                                      size_t stream_index);
 
  private:
-  struct SessionState {
-    ReadSessionOptions options;
-    Principal principal;
-    const TableDef* table = nullptr;
-    Credential credential;       // delegated, scoped to the table prefix
-    /// Resolved fine-grained policy over every column the session reads:
-    /// requested, predicate, pushed-aggregate inputs and group keys.
-    EffectiveAccess access;
-    /// The predicate's conjuncts that touch no masked column: the only part
-    /// raw file and row-group statistics may prune with.
-    ExprPtr prune_predicate;
-    /// The predicate's masked columns; the predicate sees their masked
-    /// values, so it never filters on what the caller may not read.
-    std::set<std::string> masked_predicate_cols;
-    std::vector<std::string> read_columns;  // pre-mask projection
-    /// Block-cache projection key of a scan reading every table column; a
-    /// narrower projection is served as a view of that block when resident.
-    uint64_t full_projection_fp = 0;
-    /// Per-stream overlap (see StreamOverlapSaved); slot s is written only
-    /// by the task reading stream s.
-    std::vector<SimMicros> overlap_saved;
-  };
-
   /// Everything fetch+decode produces for one data file, before any
   /// consumer-side processing (partition columns, filters, masking). Blocks
   /// are shared with the block cache and never mutated in place.
@@ -220,8 +206,8 @@ class StorageReadApi {
   /// transient failure (all its state is local, so attempts are
   /// independent).
   Result<std::vector<BatchHandle>> ReadRowsAttempt(
-      const ReadSession& session, SessionState& state, size_t stream_index,
-      const std::string& stream_key);
+      const ReadSession& session, ReadSessionState& state,
+      size_t stream_index, const std::string& stream_key);
 
   /// Collects (and prunes) the file list for a table, via Big Metadata when
   /// cached, else via LIST + footer peeks (the slow pre-BigLake path).
@@ -238,7 +224,7 @@ class StorageReadApi {
   /// footer is admitted to the cache only when every underlying read
   /// observed the expected object generation — a faulted or partially-read
   /// block is never admitted.
-  Result<FileBlocks> FetchFileBlocks(const SessionState& state,
+  Result<FileBlocks> FetchFileBlocks(const ReadSessionState& state,
                                      const TableDef& table,
                                      const ObjectStore* store,
                                      const CallerContext& ctx,
@@ -254,7 +240,6 @@ class StorageReadApi {
   LakehouseEnv* env_;
   ReadApiOptions options_;
   uint64_t next_session_ = 1;
-  std::map<std::string, SessionState> sessions_;
   std::once_flag prefetch_pool_once_;
   std::unique_ptr<ThreadPool> prefetch_pool_;
 };

@@ -528,7 +528,7 @@ Result<ChunkedBatch> QueryEngine::ExecuteScan(const Principal& principal,
     // The prefetch window hides part of a stream's I/O behind its own
     // compute: subtract the Read API's analytic overlap from the wall
     // estimate (resource time above is untouched).
-    SimMicros saved = read_api_->StreamOverlapSaved(session.session_id, s);
+    SimMicros saved = StorageReadApi::StreamOverlapSaved(session, s);
     stream_elapsed[s] =
         shards[s].advanced > saved ? shards[s].advanced - saved : 0;
   }

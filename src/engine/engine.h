@@ -80,18 +80,18 @@ struct EngineOptions {
   bool enable_block_cache = false;
   uint64_t block_cache_capacity_bytes = 256ull << 20;  // 256 MiB
   /// Per-stream readahead window for the Read API's prefetching pipeline
-  /// (ReadSessionOptions::readahead_depth). 0 = synchronous fetch.
+  /// (ReadSessionOptions::readahead_depth). 0 or 1 = a window of one, each
+  /// file fetched inline on its stream's thread.
   uint32_t readahead_depth = 0;
   /// Serve repeated identical queries from the environment's result cache
-  /// (src/cache/result_cache.h), granting it `result_cache_capacity_bytes`
-  /// when it is not yet configured. Keys bind principal, plan fingerprint,
-  /// per-table commit generations and the row-shaping engine knobs (see
-  /// engine/plan_fingerprint.h), so a hit is always row-identical to a
-  /// fresh execution; the hit path charges deterministic, worker-count-
-  /// independent virtual time.
+  /// (src/cache/result_cache.h), granting it 64 MiB under LRU admission
+  /// when it is not yet configured (LakehouseEnv::ConfigureResultCache
+  /// sets another capacity or policy). Keys bind principal, plan
+  /// fingerprint, per-table commit generations and the row-shaping engine
+  /// knobs (see engine/plan_fingerprint.h), so a hit is always
+  /// row-identical to a fresh execution; the hit path charges
+  /// deterministic, worker-count-independent virtual time.
   bool enable_result_cache = false;
-  uint64_t result_cache_capacity_bytes = 64ull << 20;  // 64 MiB
-  cache::AdmissionPolicy result_cache_admission = cache::AdmissionPolicy::kLru;
 };
 
 struct QueryStats {
@@ -124,8 +124,7 @@ class QueryEngine {
     }
     if (options_.enable_result_cache && !env_->result_cache().enabled()) {
       cache::ResultCacheOptions rc_options;
-      rc_options.capacity_bytes = options_.result_cache_capacity_bytes;
-      rc_options.admission_policy = options_.result_cache_admission;
+      rc_options.capacity_bytes = 64ull << 20;  // 64 MiB
       env_->ConfigureResultCache(rc_options);
     }
   }

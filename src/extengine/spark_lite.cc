@@ -284,33 +284,24 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
       if (wanted == out_cols && read_cols == out_cols) return b;
       return b.Project(out_cols);
     };
-    // Footer-level pruning (the only pruning available without a cache).
-    if (scan.predicate != nullptr) {
-      auto lookup = [&](const std::string& col) -> const ColumnStats* {
-        for (const auto& [pcol, pval] : partition) {
-          if (pcol == col && !pval.is_null()) {
-            static thread_local ColumnStats scratch;
-            scratch.min = pval;
-            scratch.max = pval;
-            return &scratch;
-          }
-        }
-        int idx = meta->schema->FieldIndex(col);
-        if (idx < 0) return nullptr;
-        static thread_local ColumnStats file_stats;
-        file_stats = meta->FileColumnStats(static_cast<size_t>(idx));
-        return &file_stats;
-      };
-      if (scan.predicate->EvaluatePrune(lookup) ==
-          PruneResult::kCannotMatch) {
-        ++stats->files_pruned;
-        if (!all_pruned.has_value()) {
-          BL_ASSIGN_OR_RETURN(SchemaPtr stored,
-                              meta->schema->Project(read_cols));
-          BL_ASSIGN_OR_RETURN(all_pruned, shape(RecordBatch::Empty(stored)));
-        }
-        continue;
+    // Footer-level pruning (the only pruning available without a cache), on
+    // the file's manifest entry built from its footer the way the Read API's
+    // LIST+footer path builds it.
+    if (scan.predicate != nullptr &&
+        PruneDataFile(*scan.predicate,
+                      {.path = obj.name,
+                       .size_bytes = obj.size,
+                       .row_count = meta->total_rows,
+                       .partition = partition,
+                       .column_stats = meta->FileColumnStatsByName()}) ==
+            PruneResult::kCannotMatch) {
+      ++stats->files_pruned;
+      if (!all_pruned.has_value()) {
+        BL_ASSIGN_OR_RETURN(SchemaPtr stored,
+                            meta->schema->Project(read_cols));
+        BL_ASSIGN_OR_RETURN(all_pruned, shape(RecordBatch::Empty(stored)));
       }
+      continue;
     }
     ++stats->files_scanned;
     VectorizedReader reader(&source, *meta);

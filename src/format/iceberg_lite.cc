@@ -87,6 +87,25 @@ Result<std::vector<DataFileEntry>> DecodeManifest(std::string_view data) {
 
 }  // namespace
 
+PruneResult PruneDataFile(const Expr& predicate, const DataFileEntry& file) {
+  // Scratch for the probed partition value; EvaluatePrune uses the pointer
+  // only within the call.
+  ColumnStats point;
+  return predicate.EvaluatePrune(
+      [&](const std::string& col) -> const ColumnStats* {
+        for (const auto& [pcol, pval] : file.partition) {
+          if (pcol == col && !pval.is_null()) {
+            point.min = pval;
+            point.max = pval;
+            point.row_count = file.row_count;
+            return &point;
+          }
+        }
+        auto it = file.column_stats.find(col);
+        return it == file.column_stats.end() ? nullptr : &it->second;
+      });
+}
+
 void EncodeDataFileEntry(std::string* dst, const DataFileEntry& e) {
   PutLengthPrefixed(dst, e.path);
   PutVarint64(dst, e.size_bytes);

@@ -39,6 +39,11 @@ struct DataFileEntry {
   std::map<std::string, ColumnStats> column_stats;
 };
 
+/// Prunes `file` against `predicate`: a non-null hive partition value is an
+/// exact-point statistic of its column; any other column uses the file's
+/// column statistics (none known = may match).
+PruneResult PruneDataFile(const Expr& predicate, const DataFileEntry& file);
+
 void EncodeDataFileEntry(std::string* dst, const DataFileEntry& e);
 Status DecodeDataFileEntry(Decoder* dec, DataFileEntry* out);
 

@@ -43,6 +43,15 @@ ColumnStats ParquetFileMeta::FileColumnStats(size_t column_index) const {
   return merged;
 }
 
+std::map<std::string, ColumnStats> ParquetFileMeta::FileColumnStatsByName()
+    const {
+  std::map<std::string, ColumnStats> out;
+  for (size_t c = 0; c < schema->num_fields(); ++c) {
+    out[schema->field(c).name] = FileColumnStats(c);
+  }
+  return out;
+}
+
 ParquetWriter::ParquetWriter(SchemaPtr schema, ParquetWriteOptions options)
     : schema_(std::move(schema)), options_(options) {
   // Header magic so readers can sanity-check the leading bytes too.

@@ -79,6 +79,8 @@ struct ParquetFileMeta {
 
   /// Merges per-chunk stats into whole-file per-column stats.
   ColumnStats FileColumnStats(size_t column_index) const;
+  /// FileColumnStats of every column, by name (a manifest entry's stats).
+  std::map<std::string, ColumnStats> FileColumnStatsByName() const;
 };
 
 /// Serializes one or more batches (sharing a schema) into a Parquet-lite

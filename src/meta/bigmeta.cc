@@ -175,23 +175,7 @@ Result<PrunedFiles> BigMetadataStore::PruneFiles(const std::string& table_id,
     return result;
   }
   for (auto& f : files) {
-    // Per-file stats lookup: partition values become exact-point stats,
-    // regular columns use cached min/max.
-    auto lookup = [&](const std::string& col) -> const ColumnStats* {
-      static thread_local ColumnStats scratch;
-      for (const auto& [pcol, pval] : f.file.partition) {
-        if (pcol == col && !pval.is_null()) {
-          scratch.min = pval;
-          scratch.max = pval;
-          scratch.null_count = 0;
-          scratch.row_count = f.file.row_count;
-          return &scratch;
-        }
-      }
-      auto sit = f.file.column_stats.find(col);
-      return sit == f.file.column_stats.end() ? nullptr : &sit->second;
-    };
-    if (predicate->EvaluatePrune(lookup) == PruneResult::kCannotMatch) {
+    if (PruneDataFile(*predicate, f.file) == PruneResult::kCannotMatch) {
       ++result.pruned;
       continue;
     }

@@ -130,10 +130,7 @@ Result<CacheRefreshReport> MetadataCacheManager::RefreshOnce(
       if (!meta.ok() && IsRetryable(meta.status())) return meta.status();
       if (meta.ok()) {
         entry.file.row_count = meta->total_rows;
-        for (size_t c = 0; c < meta->schema->num_fields(); ++c) {
-          entry.file.column_stats[meta->schema->field(c).name] =
-              meta->FileColumnStats(c);
-        }
+        entry.file.column_stats = meta->FileColumnStatsByName();
       }
       // Non-Parquet files are still cached (without stats) so listings
       // stay complete; engines will treat them as unprunable.

@@ -134,27 +134,53 @@ TEST(CacheDeterminismTest, ColdAndWarmScansAreBitIdenticalAcrossWorkers) {
 }
 
 // The prefetch fold is serial-equivalent: any readahead depth returns the
-// same bytes and burns the same resource time as the synchronous loop —
-// only the analytic wall estimate (overlapped I/O) improves.
+// same bytes and burns the same resource time as the window of one (depths
+// 0 and 1, fetched inline), with the block cache on or off — only the
+// analytic wall estimate (overlapped I/O) and the readapi.prefetch_*
+// counters that account for it change.
 TEST(CacheDeterminismTest, ReadaheadDepthNeverChangesResultsOrResourceCost) {
   TpcdsScale scale = MidScale();
-  std::string bytes0;
-  SimMicros total0 = 0, wall0 = 0;
-  for (uint32_t depth : {0u, 2u, 8u}) {
-    World w(scale);
-    QueryEngine engine(&w.lake, &w.api, CachedOptions(4, depth));
-    auto r = engine.Execute("u", Plan::Scan(w.tables.store_sales));
-    ASSERT_TRUE(r.ok()) << "depth " << depth << ": " << r.status().ToString();
-    if (depth == 0) {
-      bytes0 = SerializeBatch(r->batch);
-      total0 = r->stats.total_micros;
-      wall0 = r->stats.wall_micros;
-      continue;
+  auto without_prefetch = [](std::map<std::string, uint64_t> counters) {
+    for (auto it = counters.begin(); it != counters.end();) {
+      it = it->first.rfind("readapi.prefetch_", 0) == 0 ? counters.erase(it)
+                                                        : std::next(it);
     }
-    EXPECT_EQ(SerializeBatch(r->batch), bytes0) << "depth " << depth;
-    EXPECT_EQ(r->stats.total_micros, total0) << "depth " << depth;
-    // Overlap can only help the cold scan's wall estimate.
-    EXPECT_LT(r->stats.wall_micros, wall0) << "depth " << depth;
+    return counters;
+  };
+  for (bool block_cache : {true, false}) {
+    SCOPED_TRACE(block_cache ? "block cache on" : "block cache off");
+    std::string bytes0;
+    SimMicros total0 = 0, wall0 = 0, clock0 = 0;
+    std::map<std::string, uint64_t> counters0;
+    for (uint32_t depth : {0u, 1u, 2u, 8u}) {
+      World w(scale);
+      EngineOptions opts = CachedOptions(4, depth);
+      opts.enable_block_cache = block_cache;
+      QueryEngine engine(&w.lake, &w.api, opts);
+      auto r = engine.Execute("u", Plan::Scan(w.tables.store_sales));
+      ASSERT_TRUE(r.ok()) << "depth " << depth << ": "
+                          << r.status().ToString();
+      std::map<std::string, uint64_t> counters =
+          without_prefetch(w.lake.sim().counters().all());
+      if (depth == 0) {
+        bytes0 = SerializeBatch(r->batch);
+        total0 = r->stats.total_micros;
+        wall0 = r->stats.wall_micros;
+        clock0 = w.lake.sim().clock().Now();
+        counters0 = std::move(counters);
+        continue;
+      }
+      EXPECT_EQ(SerializeBatch(r->batch), bytes0) << "depth " << depth;
+      EXPECT_EQ(r->stats.total_micros, total0) << "depth " << depth;
+      EXPECT_EQ(w.lake.sim().clock().Now(), clock0) << "depth " << depth;
+      EXPECT_EQ(counters, counters0) << "depth " << depth;
+      if (depth == 1) {
+        EXPECT_EQ(r->stats.wall_micros, wall0);  // nothing overlapped
+      } else {
+        // Overlap can only help the cold scan's wall estimate.
+        EXPECT_LT(r->stats.wall_micros, wall0) << "depth " << depth;
+      }
+    }
   }
 }
 

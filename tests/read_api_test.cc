@@ -540,6 +540,33 @@ TEST_F(ReadApiTest, WireFormatPreservesEncodedColumns) {
   EXPECT_EQ(batch->column(0).encoding(), Encoding::kDictionary);
 }
 
+// The Read API keeps no per-session state: what a session resolved (here,
+// its predicate) lives exactly as long as the session and its copies.
+TEST_F(ReadApiTest, SessionStateDiesWithTheSession) {
+  CreateLakeTable("sales", 4, 50);
+  ExprPtr p = Expr::Ge(Expr::Col("id"), Expr::Lit(Value::Int64(10)));
+  {
+    ReadSessionOptions opts;
+    opts.predicate = p;
+    auto session = api_.CreateReadSession("u", "ds.sales", opts);
+    ASSERT_TRUE(session.ok());
+    ReadSession copy = *session;
+    ASSERT_TRUE(api_.ReadStreamBatch(copy, 0).ok());
+    EXPECT_GT(p.use_count(), 1);
+  }
+  EXPECT_EQ(p.use_count(), 1);
+  {
+    auto base = api_.CreateReadSession("u", "ds.sales", {});
+    ASSERT_TRUE(base.ok());
+    auto refined = api_.RefineSession(*base, p);
+    ASSERT_TRUE(refined.ok());
+    ReadSession copy = *refined;
+    ASSERT_TRUE(api_.ReadStreamBatch(copy, 0).ok());
+    EXPECT_GT(p.use_count(), 1);
+  }
+  EXPECT_EQ(p.use_count(), 1);
+}
+
 TEST_F(ReadApiTest, ReadRowsOnBogusSessionOrStream) {
   CreateLakeTable("sales", 1, 10);
   auto session = api_.CreateReadSession("u", "ds.sales", {});

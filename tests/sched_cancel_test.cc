@@ -32,11 +32,11 @@ class CancelWorld : public LakehouseFixture {
   }
   void TestBody() override {}
 
-  QueryEngine MakeEngine(uint32_t workers) {
+  QueryEngine MakeEngine(uint32_t workers, uint32_t readahead_depth) {
     EngineOptions opts;
     opts.num_workers = workers;
     opts.max_read_streams = 4;
-    opts.readahead_depth = 2;  // exercise prefetch-pipeline cancellation
+    opts.readahead_depth = readahead_depth;
     opts.enable_block_cache = true;
     opts.block_cache_capacity_bytes = 4ull << 20;
     return QueryEngine(&lake_, &api_, opts);
@@ -84,9 +84,9 @@ struct CancelRun {
   SimMicros post_cancel_total_micros = 0;
 };
 
-CancelRun RunAt(uint32_t workers) {
+CancelRun RunAt(uint32_t workers, uint32_t readahead_depth) {
   CancelWorld world;
-  QueryEngine engine = world.MakeEngine(workers);
+  QueryEngine engine = world.MakeEngine(workers, readahead_depth);
   SchedulerOptions opts;
   opts.total_slots = 4;
   QueryScheduler sched(&world.lake_, &engine, opts);
@@ -105,61 +105,69 @@ CancelRun RunAt(uint32_t workers) {
   return run;
 }
 
+// Runs once through the prefetch pool (readahead depth 2) and once through
+// the inline window of one (depth 0): each must cancel at the same file at
+// every worker count.
 TEST(SchedCancelTest, MidScanCancellationLeaksNothingAtAnyWorkerCount) {
-  CancelRun base = RunAt(1);
+  for (uint32_t depth : {2u, 0u}) {
+    SCOPED_TRACE("readahead_depth " + std::to_string(depth));
+    CancelRun base = RunAt(1, depth);
 
-  int cancelled = 0, completed = 0;
-  for (const auto& out : base.outcomes) {
-    if (out.state == QueryState::kCancelledRunning ||
-        out.state == QueryState::kCancelledQueued) {
-      ++cancelled;
-      // No partial results leak out of a cancelled query.
-      EXPECT_EQ(out.rows, 0u);
-      EXPECT_TRUE(out.status.IsDeadlineExceeded()) << out.status.ToString();
-    } else {
-      ASSERT_EQ(out.state, QueryState::kCompleted) << out.status.ToString();
-      ++completed;
-      EXPECT_EQ(out.rows, 480u);
+    int cancelled = 0, completed = 0;
+    for (const auto& out : base.outcomes) {
+      if (out.state == QueryState::kCancelledRunning ||
+          out.state == QueryState::kCancelledQueued) {
+        ++cancelled;
+        // No partial results leak out of a cancelled query.
+        EXPECT_EQ(out.rows, 0u);
+        EXPECT_TRUE(out.status.IsDeadlineExceeded()) << out.status.ToString();
+      } else {
+        ASSERT_EQ(out.state, QueryState::kCompleted) << out.status.ToString();
+        ++completed;
+        EXPECT_EQ(out.rows, 480u);
+      }
     }
-  }
-  // The trace must actually race cancellations against healthy scans.
-  EXPECT_GE(cancelled, 8);
-  EXPECT_GE(completed, 12);
+    // The trace must actually race cancellations against healthy scans.
+    EXPECT_GE(cancelled, 8);
+    EXPECT_GE(completed, 12);
 
-  // A fresh, never-cancelled world is the poisoning oracle: the post-cancel
-  // re-scan through the warm (possibly poisoned) cache must match a world
-  // where no cancellation ever touched the cache.
-  {
-    CancelWorld clean;
-    QueryEngine engine = clean.MakeEngine(1);
-    auto pristine = engine.Execute("u", Plan::Scan("ds.sales"));
-    ASSERT_TRUE(pristine.ok());
-    EXPECT_EQ(base.post_cancel_batch, SerializeBatch(pristine->batch));
-  }
-
-  for (uint32_t workers : {2u, 8u}) {
-    CancelRun other = RunAt(workers);
-    ASSERT_EQ(base.outcomes.size(), other.outcomes.size());
-    for (size_t i = 0; i < base.outcomes.size(); ++i) {
-      const QueryOutcome& a = base.outcomes[i];
-      const QueryOutcome& b = other.outcomes[i];
-      EXPECT_EQ(a.state, b.state) << "w=" << workers << " query " << i;
-      EXPECT_EQ(a.status.code(), b.status.code()) << i;
-      EXPECT_EQ(a.rows, b.rows) << i;
-      EXPECT_EQ(a.queue_micros, b.queue_micros) << i;
-      EXPECT_EQ(a.service_micros, b.service_micros) << i;
-      EXPECT_EQ(a.finish_micros, b.finish_micros) << i;
+    // A fresh, never-cancelled world is the poisoning oracle: the
+    // post-cancel re-scan through the warm (possibly poisoned) cache must
+    // match a world where no cancellation ever touched the cache.
+    {
+      CancelWorld clean;
+      QueryEngine engine = clean.MakeEngine(1, depth);
+      auto pristine = engine.Execute("u", Plan::Scan("ds.sales"));
+      ASSERT_TRUE(pristine.ok());
+      EXPECT_EQ(base.post_cancel_batch, SerializeBatch(pristine->batch));
     }
-    // Deterministic counter folds: the cache saw the same hits, misses,
-    // insertions and evictions regardless of how workers interleaved.
-    EXPECT_EQ(base.cache_stats.hits, other.cache_stats.hits) << workers;
-    EXPECT_EQ(base.cache_stats.misses, other.cache_stats.misses) << workers;
-    EXPECT_EQ(base.cache_stats.evictions, other.cache_stats.evictions);
-    EXPECT_EQ(base.cache_stats.entries, other.cache_stats.entries);
-    EXPECT_EQ(base.cache_stats.bytes_pinned, other.cache_stats.bytes_pinned);
-    // And the post-cancel world is byte-identical too.
-    EXPECT_EQ(base.post_cancel_batch, other.post_cancel_batch) << workers;
-    EXPECT_EQ(base.post_cancel_total_micros, other.post_cancel_total_micros);
+
+    for (uint32_t workers : {2u, 8u}) {
+      CancelRun other = RunAt(workers, depth);
+      ASSERT_EQ(base.outcomes.size(), other.outcomes.size());
+      for (size_t i = 0; i < base.outcomes.size(); ++i) {
+        const QueryOutcome& a = base.outcomes[i];
+        const QueryOutcome& b = other.outcomes[i];
+        EXPECT_EQ(a.state, b.state) << "w=" << workers << " query " << i;
+        EXPECT_EQ(a.status.code(), b.status.code()) << i;
+        EXPECT_EQ(a.rows, b.rows) << i;
+        EXPECT_EQ(a.queue_micros, b.queue_micros) << i;
+        EXPECT_EQ(a.service_micros, b.service_micros) << i;
+        EXPECT_EQ(a.finish_micros, b.finish_micros) << i;
+      }
+      // Deterministic counter folds: the cache saw the same hits, misses,
+      // insertions and evictions regardless of how workers interleaved.
+      EXPECT_EQ(base.cache_stats.hits, other.cache_stats.hits) << workers;
+      EXPECT_EQ(base.cache_stats.misses, other.cache_stats.misses) << workers;
+      EXPECT_EQ(base.cache_stats.evictions, other.cache_stats.evictions);
+      EXPECT_EQ(base.cache_stats.entries, other.cache_stats.entries);
+      EXPECT_EQ(base.cache_stats.bytes_pinned,
+                other.cache_stats.bytes_pinned);
+      // And the post-cancel world is byte-identical too.
+      EXPECT_EQ(base.post_cancel_batch, other.post_cancel_batch) << workers;
+      EXPECT_EQ(base.post_cancel_total_micros,
+                other.post_cancel_total_micros);
+    }
   }
 }
 
