@@ -55,7 +55,9 @@ do_novec() {
 # views (and the engine's scan chunks) alias cached block storage across
 # threads and must outlive eviction, so lifetime bugs show up as ASan
 # use-after-free and unsynchronized refcount/counter traffic as TSan
-# reports.
+# reports. Both caches keep their entries in the one shared core
+# (cache/lru_shards.h) and hand batches out as shared views, so the result
+# cache suite runs here too.
 do_zerocopy() {
   for dir in build-asan build-tsan; do
     if [[ ! -d "$ROOT/$dir" ]]; then
@@ -65,10 +67,10 @@ do_zerocopy() {
     cmake --build "$ROOT/$dir" -j "$JOBS" \
       --target buffer_test string_column_test ipc_robustness_test \
       batch_transport_test columnar_test engine_test block_cache_test \
-      cache_determinism_test chunked_flow_test
+      cache_determinism_test result_cache_test chunked_flow_test
     ctest --test-dir "$ROOT/$dir" -L zerocopy --output-on-failure
     for t in columnar_test engine_test block_cache_test \
-             cache_determinism_test chunked_flow_test; do
+             cache_determinism_test result_cache_test chunked_flow_test; do
       "$ROOT/$dir/tests/$t"
     done
   done

@@ -12,8 +12,8 @@
 // suites compare counters across 1/2/8 workers). Two rules make that true:
 //
 //   1. During a parallel region the shared state is *read-only*. Every task
-//      installs a `CacheTxn` (mirroring ScopedChargeShard / MetricsDelta in
-//      common/sim_env.h and obs/metrics.h): inserts and LRU touches are
+//      installs a `CacheTxn` (mirroring ScopedChargeShard in
+//      common/sim_env.h): inserts and LRU touches are
 //      buffered in the task's txn and folded back in slot order by the
 //      launcher (`FoldTxns`), so mutations happen at a deterministic program
 //      point in a deterministic order. Lookups see the frozen shared state
@@ -25,12 +25,12 @@
 //      so recency order is identical whether the ops were buffered by eight
 //      workers or executed inline by one.
 //
-// Eviction is sharded LRU: keys hash to a shard, each shard owns
-// capacity/shard_count bytes and evicts its least-recently-used entry while
-// over budget. An entry is only ever admitted whole (the Read API refuses to
-// admit blocks whose object reads did not all observe the expected
-// generation, so a faulted or concurrently-rewritten read never poisons the
-// cache).
+// Shards, budgets, recency and LRU / TinyLFU eviction live in the shared
+// core (cache/lru_shards.h); this class keeps the txn buffering, the footer
+// and block payloads and object invalidation. An entry is only ever admitted
+// whole (the Read API refuses to admit blocks whose object reads did not all
+// observe the expected generation, so a faulted or concurrently-rewritten
+// read never poisons the cache).
 
 #ifndef BIGLAKE_CACHE_BLOCK_CACHE_H_
 #define BIGLAKE_CACHE_BLOCK_CACHE_H_
@@ -39,22 +39,17 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cache/admission.h"
+#include "cache/lru_shards.h"
 #include "columnar/batch.h"
 #include "common/sim_env.h"
 #include "format/parquet_lite.h"
 
 namespace biglake {
-namespace obs {
-class Counter;
-class Gauge;
-}  // namespace obs
-
 namespace cache {
 
 struct BlockCacheOptions {
@@ -67,9 +62,6 @@ struct BlockCacheOptions {
   /// the original recency-only behavior; kTinyLfu evicts by lowest
   /// frequency-per-byte and rejects cold candidates outright.
   AdmissionPolicy admission_policy = AdmissionPolicy::kLru;
-  /// TinyLFU sketch sizing hint: distinct entries to track. 0 = derive from
-  /// capacity (one slot per 64 KiB, min 1024).
-  uint64_t sketch_entries = 0;
 };
 
 /// Order-insensitive fingerprint of a projection (the set of columns a block
@@ -145,7 +137,7 @@ CacheTxn*& CurrentTxn();
 
 /// Installs `txn` as this thread's cache-mutation sink for the scope
 /// (restoring the previous sink on destruction), exactly like
-/// ScopedChargeShard / ScopedMetricsDelta.
+/// ScopedChargeShard.
 class ScopedCacheTxn {
  public:
   explicit ScopedCacheTxn(CacheTxn* txn) : prev_(internal::CurrentTxn()) {
@@ -162,15 +154,14 @@ class ScopedCacheTxn {
 class BlockCache {
  public:
   explicit BlockCache(SimEnv* env);
-  ~BlockCache();
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
 
   /// (Re)configures capacity, evicting down to the new budget. Serial
   /// context only — never inside a parallel region.
   void Configure(const BlockCacheOptions& options);
-  bool enabled() const { return capacity_ > 0; }
-  uint64_t capacity_bytes() const { return capacity_; }
+  bool enabled() const { return capacity_bytes() > 0; }
+  uint64_t capacity_bytes() const { return entries_.capacity(); }
 
   /// Fraction of capacity currently pinned, in [0, 1] (0 when disabled).
   /// Serial context only — the scheduler polls this at admission as its
@@ -216,30 +207,21 @@ class BlockCache {
   BlockCacheStats Stats() const;
 
  private:
-  struct Entry {
+  struct Cached {  // exactly one is set
     std::shared_ptr<const RecordBatch> block;
     std::shared_ptr<const ParquetFileMeta> footer;
-    uint64_t bytes = 0;
-    uint64_t stamp = 0;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, Entry> entries;
-    std::map<uint64_t, std::string> lru;  // stamp -> key
-    uint64_t bytes_used = 0;
-  };
+  using Shards = LruShards<Cached>;
 
-  Shard& ShardFor(const std::string& key);
+  /// Buffers `op` in the installed CacheTxn, or applies it when there is
+  /// none.
+  void Submit(CacheTxn::Op op);
   void ApplyOp(CacheTxn::Op& op);
-  void ApplyInsert(const std::string& key, Entry entry);
-  void ApplyTouch(const std::string& key);
-  void EvictOverflow(Shard& shard);
-  /// TinyLFU overflow handling: repeatedly evicts the entry with the lowest
-  /// frequency-per-byte (ties broken oldest-stamp-first). Evicting the
-  /// just-inserted `candidate` itself counts as an admission rejection.
-  void EvictByFrequency(Shard& shard, const std::string& candidate);
-  /// Buffers (or directly applies) one frequency observation for `key`.
+  /// Counts the evictions and admission rejections in `removal`.
+  void CountEvictions(const Shards::Removal& removal);
+  /// Submits one frequency observation (TinyLFU only) / one LRU touch.
   void RecordAccess(const std::string& key);
+  void Touch(const std::string& key);
   void CountHit(bool footer);
   void CountMiss(bool footer);
 
@@ -252,12 +234,6 @@ class BlockCache {
   uint64_t eviction_count_ = 0;      // mutated at serial apply points only
   uint64_t invalidation_count_ = 0;  // serial
   uint64_t admission_rejection_count_ = 0;  // serial
-  uint64_t capacity_ = 0;
-  uint64_t per_shard_capacity_ = 0;
-  uint64_t seq_ = 0;  // logical recency clock; mutated at serial points only
-  AdmissionPolicy policy_ = AdmissionPolicy::kLru;
-  FrequencySketch sketch_;  // mutated at serial apply points only
-  std::vector<std::unique_ptr<Shard>> shards_;
 
   obs::Counter* hits_block_;
   obs::Counter* hits_footer_;
@@ -266,7 +242,7 @@ class BlockCache {
   obs::Counter* evictions_;
   obs::Counter* invalidations_;
   obs::Counter* admission_rejections_;
-  obs::Gauge* bytes_pinned_;
+  Shards entries_;
 };
 
 }  // namespace cache

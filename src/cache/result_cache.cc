@@ -8,7 +8,10 @@
 namespace biglake {
 namespace cache {
 
-ResultCache::ResultCache(SimEnv* env) : env_(env) {
+ResultCache::ResultCache(SimEnv* env)
+    : env_(env),
+      entries_(obs::MetricsRegistry::Default().GetGauge(
+          METRIC_RESULTCACHE_BYTES_PINNED)) {
   auto& reg = obs::MetricsRegistry::Default();
   hits_ = reg.GetCounter(METRIC_RESULTCACHE_HITS);
   misses_ = reg.GetCounter(METRIC_RESULTCACHE_MISSES);
@@ -17,61 +20,20 @@ ResultCache::ResultCache(SimEnv* env) : env_(env) {
   invalidations_ = reg.GetCounter(METRIC_RESULTCACHE_INVALIDATIONS);
   admission_rejections_ =
       reg.GetCounter(METRIC_CACHE_ADMISSION_REJECTED, {{"cache", "result"}});
-  bytes_pinned_ = reg.GetGauge(METRIC_RESULTCACHE_BYTES_PINNED);
-  shards_.resize(8);
-  for (auto& s : shards_) s = std::make_unique<Shard>();
-}
-
-ResultCache::~ResultCache() {
-  // Return pinned bytes so the process-global gauge stays meaningful across
-  // env lifetimes in one test binary.
-  for (auto& s : shards_) {
-    bytes_pinned_->Add(-static_cast<int64_t>(s->bytes_used));
-  }
 }
 
 void ResultCache::Configure(const ResultCacheOptions& options) {
-  uint32_t shard_count = std::max<uint32_t>(1, options.shard_count);
-  if (shard_count != shards_.size()) {
-    Clear();
-    shards_.resize(shard_count);
-    for (auto& s : shards_) {
-      if (s == nullptr) s = std::make_unique<Shard>();
-    }
-  }
   options_ = options;
-  options_.shard_count = shard_count;
-  per_shard_capacity_ = options_.capacity_bytes / shards_.size();
-  if (options_.admission_policy == AdmissionPolicy::kTinyLfu) {
-    uint64_t entries = options_.sketch_entries;
-    if (entries == 0) entries = options_.capacity_bytes / (64ull << 10);
-    sketch_.Reset(entries);
-  }
-  for (auto& s : shards_) EvictOverflow(*s);
-}
-
-ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
-  return *shards_[KeyHash(key) % shards_.size()];
+  options_.shard_count = std::max<uint32_t>(1, options.shard_count);
+  Absorb(entries_.Configure(options_.capacity_bytes, options_.shard_count,
+                            options_.admission_policy));
 }
 
 std::shared_ptr<const RecordBatch> ResultCache::Get(const std::string& key) {
   if (!enabled()) return nullptr;
   env_->Charge("resultcache.probes", options_.probe_latency);
-  std::shared_ptr<const RecordBatch> found;
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      found = it->second.batch;
-      shard.lru.erase(it->second.stamp);
-      it->second.stamp = ++seq_;
-      shard.lru[it->second.stamp] = key;
-    }
-  }
-  if (options_.admission_policy == AdmissionPolicy::kTinyLfu) {
-    sketch_.Increment(KeyHash(key));
-  }
+  std::shared_ptr<const RecordBatch> found = entries_.Find(key).batch;
+  entries_.Touch(key);
   if (found == nullptr) {
     miss_count_.fetch_add(1, std::memory_order_relaxed);
     misses_->Increment();
@@ -96,109 +58,55 @@ void ResultCache::Put(const std::string& key,
                       const std::vector<std::string>& tables,
                       std::shared_ptr<const RecordBatch> batch) {
   if (!enabled() || batch == nullptr) return;
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    // Re-insert of a live key (e.g. cache warmed between probe and insert):
-    // refresh recency, keep the resident value.
-    shard.lru.erase(it->second.stamp);
-    it->second.stamp = ++seq_;
-    shard.lru[it->second.stamp] = key;
-    return;
+  const uint64_t bytes = batch->MemoryBytes();
+  // A live key (e.g. cache warmed between probe and insert) keeps its
+  // resident value; the core only refreshes its recency.
+  Shards::Removal removal =
+      entries_.Insert(key, Cached{std::move(batch), tables}, bytes);
+  if (!removal.inserted) return;
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    for (const std::string& t : tables) by_table_[t].insert(key);
   }
-  Entry entry;
-  entry.bytes = batch->MemoryBytes();
-  entry.batch = std::move(batch);
-  entry.tables = tables;
-  entry.stamp = ++seq_;
-  shard.bytes_used += entry.bytes;
-  bytes_pinned_->Add(static_cast<int64_t>(entry.bytes));
-  shard.lru[entry.stamp] = key;
-  for (const std::string& t : entry.tables) shard.by_table[t].insert(key);
-  shard.entries.emplace(key, std::move(entry));
   ++insert_count_;
   inserts_->Increment();
   env_->counters().Add("resultcache.inserts", 1);
-  if (options_.admission_policy == AdmissionPolicy::kTinyLfu) {
-    EvictByFrequency(shard, key);
-  } else {
-    EvictOverflow(shard);
-  }
+  Absorb(removal);
 }
 
-std::map<std::string, ResultCache::Entry>::iterator ResultCache::Remove(
-    Shard& shard, std::map<std::string, Entry>::iterator it) {
-  shard.bytes_used -= it->second.bytes;
-  bytes_pinned_->Add(-static_cast<int64_t>(it->second.bytes));
-  shard.lru.erase(it->second.stamp);
-  for (const std::string& t : it->second.tables) {
-    auto bit = shard.by_table.find(t);
-    if (bit == shard.by_table.end()) continue;
-    bit->second.erase(it->first);
-    if (bit->second.empty()) shard.by_table.erase(bit);
+uint64_t ResultCache::Absorb(const Shards::Removal& removal) {
+  if (removal.evictions > 0) {
+    eviction_count_ += removal.evictions;
+    evictions_->Add(removal.evictions);
+    env_->counters().Add("resultcache.evictions", removal.evictions);
   }
-  return shard.entries.erase(it);
-}
-
-void ResultCache::EvictOverflow(Shard& shard) {
-  while (shard.bytes_used > per_shard_capacity_ && !shard.lru.empty()) {
-    auto oldest = shard.lru.begin();
-    Remove(shard, shard.entries.find(oldest->second));
-    ++eviction_count_;
-    evictions_->Increment();
-    env_->counters().Add("resultcache.evictions", 1);
+  if (removal.rejections > 0) {
+    admission_rejection_count_ += removal.rejections;
+    admission_rejections_->Add(removal.rejections);
+    env_->counters().Add("resultcache.admission_rejected",
+                         removal.rejections);
   }
-}
-
-void ResultCache::EvictByFrequency(Shard& shard,
-                                   const std::string& candidate) {
-  while (shard.bytes_used > per_shard_capacity_ && !shard.entries.empty()) {
-    // Same scoring as BlockCache::EvictByFrequency: lowest frequency/byte
-    // loses (integer cross-multiplication), oldest stamp breaks ties.
-    auto victim = shard.entries.begin();
-    uint64_t victim_freq = sketch_.Estimate(KeyHash(victim->first));
-    for (auto it = std::next(shard.entries.begin());
-         it != shard.entries.end(); ++it) {
-      uint64_t freq = sketch_.Estimate(KeyHash(it->first));
-      uint64_t lhs = freq * victim->second.bytes;
-      uint64_t rhs = victim_freq * it->second.bytes;
-      if (lhs < rhs ||
-          (lhs == rhs && it->second.stamp < victim->second.stamp)) {
-        victim = it;
-        victim_freq = freq;
-      }
-    }
-    const bool rejected_candidate = victim->first == candidate;
-    Remove(shard, victim);
-    if (rejected_candidate) {
-      ++admission_rejection_count_;
-      admission_rejections_->Increment();
-      env_->counters().Add("resultcache.admission_rejected", 1);
-    } else {
-      ++eviction_count_;
-      evictions_->Increment();
-      env_->counters().Add("resultcache.evictions", 1);
+  std::lock_guard<std::mutex> lock(index_mu_);
+  for (const auto& [key, cached] : removal.removed) {
+    for (const std::string& t : cached.tables) {
+      auto bit = by_table_.find(t);
+      if (bit == by_table_.end()) continue;
+      bit->second.erase(key);
+      if (bit->second.empty()) by_table_.erase(bit);
     }
   }
+  return removal.removed.size();
 }
 
 uint64_t ResultCache::InvalidateTable(const std::string& table_id) {
-  uint64_t dropped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto bit = shard.by_table.find(table_id);
-    if (bit == shard.by_table.end()) continue;
-    // Copy: Remove() edits by_table under us.
-    std::set<std::string> keys = bit->second;
-    for (const std::string& key : keys) {
-      auto it = shard.entries.find(key);
-      if (it == shard.entries.end()) continue;
-      Remove(shard, it);
-      ++dropped;
-    }
+  std::set<std::string> keys;
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    auto bit = by_table_.find(table_id);
+    if (bit == by_table_.end()) return 0;
+    keys = bit->second;
   }
+  const uint64_t dropped = Absorb(entries_.EraseKeys(keys));
   if (dropped > 0) {
     invalidation_count_ += dropped;
     invalidations_->Add(dropped);
@@ -207,18 +115,7 @@ uint64_t ResultCache::InvalidateTable(const std::string& table_id) {
   return dropped;
 }
 
-void ResultCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    if (shard_ptr == nullptr) continue;
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    bytes_pinned_->Add(-static_cast<int64_t>(shard.bytes_used));
-    shard.entries.clear();
-    shard.lru.clear();
-    shard.by_table.clear();
-    shard.bytes_used = 0;
-  }
-}
+void ResultCache::Clear() { Absorb(entries_.Clear()); }
 
 ResultCacheStats ResultCache::Stats() const {
   ResultCacheStats out;
@@ -228,11 +125,9 @@ ResultCacheStats ResultCache::Stats() const {
   out.evictions = eviction_count_;
   out.invalidations = invalidation_count_;
   out.admission_rejections = admission_rejection_count_;
-  for (const auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mu);
-    out.entries += shard_ptr->entries.size();
-    out.bytes_pinned += shard_ptr->bytes_used;
-  }
+  const Shards::Totals totals = entries_.totals();
+  out.entries = totals.entries;
+  out.bytes_pinned = totals.bytes;
   return out;
 }
 

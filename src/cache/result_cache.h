@@ -12,8 +12,8 @@
 // entries become unreachable by construction — correctness never depends on
 // eager invalidation. `InvalidateTable` (wired next to the block cache's
 // `InvalidateObject` calls in the Write API and BLMT) additionally reclaims
-// the dead bytes the moment a commit lands; each shard keeps a
-// table-id -> keys index so the sweep is exact.
+// the dead bytes the moment a commit lands; a table-id -> keys index, kept
+// in step with every entry the core reports removed, makes the sweep exact.
 //
 // Determinism. Probe (Get) and insert (Put) happen only at the serial
 // entry/exit of QueryEngine::Execute — never inside a parallel region — so
@@ -23,9 +23,9 @@
 // so hit/miss counters, eviction decisions and the virtual clock stay
 // bit-identical across 1/2/8 workers.
 //
-// Eviction follows `admission_policy` exactly like the block cache: plain
-// sharded LRU, or TinyLFU frequency-per-byte victim selection with
-// admission gating (cache/admission.h).
+// Shards, budgets, recency and eviction are the block cache's own core
+// (cache/lru_shards.h): plain sharded LRU, or TinyLFU frequency-per-byte
+// victim selection with admission gating (cache/admission.h).
 
 #ifndef BIGLAKE_CACHE_RESULT_CACHE_H_
 #define BIGLAKE_CACHE_RESULT_CACHE_H_
@@ -40,15 +40,11 @@
 #include <vector>
 
 #include "cache/admission.h"
+#include "cache/lru_shards.h"
 #include "columnar/batch.h"
 #include "common/sim_env.h"
 
 namespace biglake {
-namespace obs {
-class Counter;
-class Gauge;
-}  // namespace obs
-
 namespace cache {
 
 struct ResultCacheOptions {
@@ -58,9 +54,6 @@ struct ResultCacheOptions {
   uint32_t shard_count = 8;
   /// Victim selection / admission gating (see cache/admission.h).
   AdmissionPolicy admission_policy = AdmissionPolicy::kLru;
-  /// TinyLFU sketch sizing hint: distinct entries to track. 0 = derive from
-  /// capacity (one slot per 64 KiB, min 1024).
-  uint64_t sketch_entries = 0;
   /// Simulated cost of one probe (charged on every Get, hit or miss).
   SimMicros probe_latency = 25;
   /// Simulated cost of serving a hit: base + per-row replay of the cached
@@ -84,7 +77,6 @@ struct ResultCacheStats {
 class ResultCache {
  public:
   explicit ResultCache(SimEnv* env);
-  ~ResultCache();
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -114,32 +106,18 @@ class ResultCache {
   ResultCacheStats Stats() const;
 
  private:
-  struct Entry {
+  struct Cached {
     std::shared_ptr<const RecordBatch> batch;
-    std::vector<std::string> tables;
-    uint64_t bytes = 0;
-    uint64_t stamp = 0;
+    std::vector<std::string> tables;  // for the table index
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, Entry> entries;
-    std::map<uint64_t, std::string> lru;  // stamp -> key
-    /// Exact invalidation index: table id -> keys of dependent entries.
-    std::map<std::string, std::set<std::string>> by_table;
-    uint64_t bytes_used = 0;
-  };
+  using Shards = LruShards<Cached>;
 
-  Shard& ShardFor(const std::string& key);
-  /// Removes `it` from every shard structure; returns the next iterator.
-  std::map<std::string, Entry>::iterator Remove(
-      Shard& shard, std::map<std::string, Entry>::iterator it);
-  void EvictOverflow(Shard& shard);
-  void EvictByFrequency(Shard& shard, const std::string& candidate);
+  /// Counts the evictions and rejections in `removal` and drops its
+  /// entries from the table index; returns how many entries it removed.
+  uint64_t Absorb(const Shards::Removal& removal);
 
   SimEnv* env_;
   ResultCacheOptions options_;
-  uint64_t per_shard_capacity_ = 0;
-  uint64_t seq_ = 0;
   double serve_carry_ = 0.0;  // fractional per-row serve micros carried over
   std::atomic<uint64_t> hit_count_{0};
   std::atomic<uint64_t> miss_count_{0};
@@ -147,8 +125,6 @@ class ResultCache {
   uint64_t eviction_count_ = 0;
   uint64_t invalidation_count_ = 0;
   uint64_t admission_rejection_count_ = 0;
-  FrequencySketch sketch_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
   obs::Counter* hits_;
   obs::Counter* misses_;
@@ -156,7 +132,10 @@ class ResultCache {
   obs::Counter* evictions_;
   obs::Counter* invalidations_;
   obs::Counter* admission_rejections_;
-  obs::Gauge* bytes_pinned_;
+  Shards entries_;
+  /// Exact invalidation index: table id -> keys of dependent entries.
+  std::mutex index_mu_;
+  std::map<std::string, std::set<std::string>> by_table_;
 };
 
 }  // namespace cache

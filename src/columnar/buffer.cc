@@ -96,8 +96,7 @@ namespace buffer_internal {
 void MirrorToMetrics(int kind, uint64_t delta) {
   // kind follows Buffer<T>::MetricKind: 0=alloc, 1=copy, 2=slice, plus
   // 3=string arena, 4=string payload bytes (string_buffer.h). Counter adds
-  // route through the thread's installed MetricsDelta (if any), so the
-  // folded totals land at deterministic program points.
+  // are commutative, so totals read at serial points are deterministic.
   switch (kind) {
     case 0:
       Metrics().bytes_allocated->Add(delta);

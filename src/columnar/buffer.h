@@ -9,10 +9,8 @@
 //
 // Accounting lives in `BufferPool`. Counts are plain commutative sums kept
 // in atomics, and are additionally mirrored into the obs metrics registry
-// (`biglake_buf_*`) through cached Counter handles, which route through the
-// thread's installed MetricsDelta inside parallel regions — so folded totals
-// land at the same deterministic program points as every other counter
-// (metrics.h). Because all engine parallelism is per-stream / per-partition
+// (`biglake_buf_*`) through cached Counter handles (commutative relaxed
+// adds, like every other counter in metrics.h). Because all engine parallelism is per-stream / per-partition
 // with fixed task counts, the *set* of buffer operations a query performs is
 // worker-count invariant, and so are these totals.
 //
@@ -94,7 +92,7 @@ class BufferPool {
 };
 
 /// Installs `pool` as the calling thread's accounting sink for buffers
-/// created in this scope (mirrors ScopedMetricsDelta / ScopedCacheTxn).
+/// created in this scope (mirrors ScopedChargeShard / ScopedCacheTxn).
 class ScopedBufferPool {
  public:
   explicit ScopedBufferPool(BufferPool* pool);

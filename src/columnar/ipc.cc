@@ -16,8 +16,8 @@ constexpr uint8_t kTagString = 4;
 constexpr uint32_t kBatchMagic = 0x424c4231;  // "BLB1"
 
 // Cached handles into the leaked metrics registry (same pattern as
-// buffer.cc). Counter adds route through the thread's MetricsDelta, keeping
-// the codec totals worker-count deterministic.
+// buffer.cc). Counter adds are commutative, so the codec totals are
+// worker-count deterministic.
 struct IpcMetrics {
   obs::Counter* serialize;
   obs::Counter* deserialize;

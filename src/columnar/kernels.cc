@@ -17,8 +17,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Metric handles (resolved once; stable for the registry's lifetime).
-// Updates route through any installed MetricsDelta, so incrementing from
-// inside a parallel read-stream task stays deterministic.
+// Updates are commutative relaxed adds, so incrementing from inside a
+// parallel read-stream task leaves deterministic totals.
 // ---------------------------------------------------------------------------
 
 obs::Counter* RowsEvaluatedCounter() {

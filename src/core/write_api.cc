@@ -162,8 +162,11 @@ Status StorageWriteApi::FinalizeStream(const std::string& stream_id) {
   }
   StreamState& stream = it->second;
   if (stream.info.mode == WriteMode::kCommitted) {
-    // Committed streams flush any remainder and are done.
+    // Committed streams flush any remainder and are done: nothing is left
+    // to commit, so the stream is dropped.
     BL_RETURN_NOT_OK(FlushCommitted(&stream));
+    streams_.erase(it);
+    return Status::OK();
   }
   stream.info.finalized = true;
   return Status::OK();
@@ -218,6 +221,8 @@ Result<uint64_t> StorageWriteApi::BatchCommit(
   for (StreamState* stream : to_commit) {
     env_->result_cache().InvalidateTable(stream->info.table_id);
   }
+  // Committed streams are done; any later call on them is NotFound.
+  for (const std::string& id : stream_ids) streams_.erase(id);
   return commit_txn;
 }
 

@@ -66,11 +66,13 @@ class StorageWriteApi {
                               const RecordBatch& batch,
                               std::optional<uint64_t> offset = std::nullopt);
 
-  /// Seals a pending stream; no further appends.
+  /// Seals a pending stream; no further appends. A committed-mode stream
+  /// flushes its remainder and is dropped.
   Status FinalizeStream(const std::string& stream_id);
 
   /// Atomically commits finalized pending streams (possibly spanning
-  /// multiple tables) in one metadata transaction. Returns the txn id.
+  /// multiple tables) in one metadata transaction. Returns the txn id. The
+  /// committed streams are dropped: any later call on them is NotFound.
   Result<uint64_t> BatchCommit(const std::vector<std::string>& stream_ids);
 
   Result<WriteStreamInfo> GetStream(const std::string& stream_id) const;

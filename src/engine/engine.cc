@@ -490,23 +490,20 @@ Result<ChunkedBatch> QueryEngine::ExecuteScan(const Principal& principal,
   }
   // Every worker count takes the same sharded path (ParallelFor runs the
   // chunks inline when the pool has no threads, with identical chunking and
-  // run-every-chunk error semantics), so charges, cache mutations, metric
-  // folds and cancellation checkpoints are bit-identical at 1, 2 or 8
-  // workers by construction rather than by keeping two branches in sync.
+  // run-every-chunk error semantics), so charges, cache mutations and
+  // cancellation checkpoints are bit-identical at 1, 2 or 8 workers by
+  // construction rather than by keeping two branches in sync.
   std::vector<ChargeShard> shards = env_->sim().MakeShards(num_streams);
-  std::vector<obs::MetricsDelta> deltas(num_streams);
   std::vector<cache::CacheTxn> cache_txns(num_streams);
   Status read_status =
       pool()->ParallelFor(num_streams, [&](size_t s) -> Status {
         // Order matters: the span activation must end while the shard is
-        // still installed so its end stamp reads the shard-local clock,
-        // and metric increments must land in this slot's delta.
+        // still installed so its end stamp reads the shard-local clock.
         ScopedChargeShard scope(&shards[s]);
         std::optional<obs::ScopedSpanActivation> span_scope;
         if (stream_spans[s] != nullptr) {
           span_scope.emplace(trace.tracer, stream_spans[s]);
         }
-        obs::ScopedMetricsDelta delta_scope(&deltas[s]);
         cache::ScopedCacheTxn cache_scope(&cache_txns[s]);
         BL_ASSIGN_OR_RETURN(std::vector<BatchHandle> handles,
                             read_api_->ReadStreamHandles(session, s));
@@ -519,9 +516,8 @@ Result<ChunkedBatch> QueryEngine::ExecuteScan(const Principal& principal,
         obs::AddCurrentSpanNum("rows", rows);
         return Status::OK();
       });
-  env_->sim().MergeShards(&shards);            // charge even partial failures
-  obs::FoldDeltas(&deltas);                    // fold metrics in slot order
-  env_->block_cache().FoldTxns(&cache_txns);   // and cache ops likewise
+  env_->sim().MergeShards(&shards);           // charge even partial failures
+  env_->block_cache().FoldTxns(&cache_txns);  // fold cache ops in slot order
   BL_RETURN_NOT_OK(read_status);
   for (size_t s = 0; s < num_streams; ++s) {
     stats->total_micros += shards[s].advanced;

@@ -161,8 +161,8 @@ FaultOutcome FaultInjector::Fire(FaultSite site, FaultKind kind,
   if (!out.status.ok()) {
     injected_[static_cast<size_t>(site)]++;
   }
-  // Routed through the calling thread's MetricsDelta when inside a parallel
-  // region, so fold order (and thus exported values) stays deterministic.
+  // A commutative relaxed add: the exported total is the same at any
+  // worker count.
   obs::MetricsRegistry::Default()
       .GetCounter(METRIC_FAULT_INJECTED, {{"site", FaultSiteName(site)},
                                           {"kind", FaultKindName(kind)}})

@@ -9,8 +9,6 @@ namespace obs {
 
 namespace {
 
-thread_local MetricsDelta* tls_delta = nullptr;
-
 /// Canonical series key: labels sorted by key, rendered `k="v",k2="v2"`.
 /// Empty for the unlabeled series.
 std::string CanonicalLabels(const LabelSet& labels) {
@@ -40,15 +38,6 @@ std::string CanonicalLabels(const LabelSet& labels) {
 
 // ---------------------------------------------------------------------------
 // Counter / Gauge / Histogram
-
-void Counter::Add(uint64_t delta) {
-  if (delta == 0) return;
-  if (tls_delta != nullptr) {
-    tls_delta->counter_deltas_[this] += delta;
-    return;
-  }
-  AddDirect(delta);
-}
 
 void Gauge::SetMax(int64_t v) {
   int64_t cur = value_.load(std::memory_order_relaxed);
@@ -104,14 +93,6 @@ size_t Histogram::BucketIndexFor(uint64_t value) const {
 }
 
 void Histogram::Observe(uint64_t value) {
-  if (tls_delta != nullptr) {
-    tls_delta->observations_.emplace_back(this, value);
-    return;
-  }
-  ObserveDirect(value);
-}
-
-void Histogram::ObserveDirect(uint64_t value) {
   buckets_[BucketIndexFor(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
@@ -120,31 +101,6 @@ void Histogram::ObserveDirect(uint64_t value) {
 uint64_t Histogram::BucketCount(size_t i) const {
   return buckets_[i].load(std::memory_order_relaxed);
 }
-
-// ---------------------------------------------------------------------------
-// MetricsDelta
-
-void MetricsDelta::Fold() {
-  for (const auto& [counter, delta] : counter_deltas_) {
-    counter->AddDirect(delta);
-  }
-  counter_deltas_.clear();
-  for (const auto& [hist, value] : observations_) {
-    hist->ObserveDirect(value);
-  }
-  observations_.clear();
-}
-
-void FoldDeltas(std::vector<MetricsDelta>* deltas) {
-  for (MetricsDelta& d : *deltas) d.Fold();
-}
-
-ScopedMetricsDelta::ScopedMetricsDelta(MetricsDelta* delta)
-    : prev_(tls_delta) {
-  tls_delta = delta;
-}
-
-ScopedMetricsDelta::~ScopedMetricsDelta() { tls_delta = prev_; }
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry

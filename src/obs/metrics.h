@@ -8,17 +8,12 @@
 //     stable for the registry's lifetime; updates through a handle are single
 //     relaxed atomic RMWs with no locking.
 //
-//  2. *Determinism under parallelism.* A worker task can install a
-//     `MetricsDelta` via `ScopedMetricsDelta` (mirroring `ScopedChargeShard`
-//     in common/sim_env.h): counter adds and histogram observations made by
-//     that task are buffered locally and folded back in slot order by
-//     `FoldDeltas`. Since counter addition is commutative the *values* would
-//     be identical either way — the buffering exists so hot parallel regions
-//     touch no shared cache lines, and so folding happens at a deterministic
-//     program point.
+//  2. *Determinism under parallelism.* Counter adds and histogram
+//     observations are commutative, so totals read after a parallel region
+//     joins are identical whatever order its workers updated them in. Read
+//     values only at serial points; nothing is buffered per task.
 //
-// Gauges are control-plane only (queue depths, high-water marks) and bypass
-// the delta mechanism.
+// Gauges are control-plane only (queue depths, high-water marks).
 
 #ifndef BIGLAKE_OBS_METRICS_H_
 #define BIGLAKE_OBS_METRICS_H_
@@ -40,29 +35,22 @@ namespace obs {
 /// Order does not matter; the registry canonicalizes by sorting on key.
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
 
-class MetricsDelta;
-
 /// Monotonically increasing counter.
 class Counter {
  public:
-  /// Adds `delta`. Routed through the thread's installed MetricsDelta when
-  /// one is present, otherwise applied directly (relaxed atomic).
-  void Add(uint64_t delta);
+  /// Adds `delta` (one relaxed atomic RMW).
+  void Add(uint64_t delta) {
+    if (delta != 0) value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   void Increment() { Add(1); }
 
-  /// Folded global value. Do not call from inside a parallel region that has
-  /// deltas installed — pending buffered adds are not visible here.
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsDelta;
-  void AddDirect(uint64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
   std::atomic<uint64_t> value_{0};
 };
 
-/// Point-in-time signed value. Not routed through deltas.
+/// Point-in-time signed value.
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
@@ -99,8 +87,7 @@ class Histogram {
  public:
   explicit Histogram(HistogramBounds bounds);
 
-  /// Records one sample. Routed through the installed MetricsDelta when one
-  /// is present, otherwise three relaxed atomic RMWs.
+  /// Records one sample: three relaxed atomic RMWs.
   void Observe(uint64_t value);
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
@@ -112,48 +99,11 @@ class Histogram {
   size_t BucketIndexFor(uint64_t value) const;
 
  private:
-  friend class MetricsDelta;
-  void ObserveDirect(uint64_t value);
-
   std::vector<uint64_t> upper_;
   // upper_.size() + 1 buckets; the last catches values above every bound.
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
-};
-
-/// Per-task buffer of metric updates, folded back at a deterministic program
-/// point. Mirrors ChargeShard: the launcher owns one delta per task slot and
-/// calls FoldDeltas after joining the parallel region.
-class MetricsDelta {
- public:
-  bool empty() const {
-    return counter_deltas_.empty() && observations_.empty();
-  }
-  /// Applies all buffered updates to their metrics and clears the buffer.
-  void Fold();
-
- private:
-  friend class Counter;
-  friend class Histogram;
-  std::map<Counter*, uint64_t> counter_deltas_;
-  std::vector<std::pair<Histogram*, uint64_t>> observations_;
-};
-
-/// Folds every delta in slot order. Call once after joining a ParallelFor.
-void FoldDeltas(std::vector<MetricsDelta>* deltas);
-
-/// Installs `delta` as the calling thread's metric-update sink for the
-/// current scope. Nesting restores the previous sink on destruction.
-class ScopedMetricsDelta {
- public:
-  explicit ScopedMetricsDelta(MetricsDelta* delta);
-  ~ScopedMetricsDelta();
-  ScopedMetricsDelta(const ScopedMetricsDelta&) = delete;
-  ScopedMetricsDelta& operator=(const ScopedMetricsDelta&) = delete;
-
- private:
-  MetricsDelta* prev_;
 };
 
 /// Registry of metric families, lock-sharded by family name so concurrent

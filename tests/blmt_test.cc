@@ -297,6 +297,15 @@ TEST_F(BlmtTest, WriteApiPendingInvisibleUntilCommit) {
   ASSERT_TRUE(api.FinalizeStream(*stream).ok());
   ASSERT_TRUE(api.BatchCommit({*stream}).ok());
   EXPECT_EQ(blmt_.ReadAll("ds.pend")->num_rows(), 40u);
+  // A committed stream is gone: a second commit fails without taking a new
+  // metadata transaction or changing the table.
+  const uint64_t latest = lake_.meta().LatestTxn();
+  Result<uint64_t> again = api.BatchCommit({*stream});
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(lake_.meta().LatestTxn(), latest);
+  EXPECT_EQ(blmt_.ReadAll("ds.pend")->num_rows(), 40u);
+  EXPECT_EQ(api.GetStream(*stream).status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(BlmtTest, WriteApiCrossStreamTransaction) {

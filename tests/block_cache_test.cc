@@ -1,5 +1,6 @@
 // Columnar block cache (src/cache/): unit behavior (keys, LRU eviction,
-// stats) plus the invalidation story end-to-end — DML, storage coalescing
+// stats, parity with the result cache's eviction and admission) plus the
+// invalidation story end-to-end — DML, storage coalescing
 // and external rewrites must never let a scan observe stale cached blocks.
 
 #include <gtest/gtest.h>
@@ -9,7 +10,10 @@
 #include <vector>
 
 #include "cache/block_cache.h"
+#include "cache/result_cache.h"
 #include "columnar/ipc.h"
+#include "common/random.h"
+#include "common/strings.h"
 #include "core/biglake.h"
 #include "core/blmt.h"
 #include "core/environment.h"
@@ -210,6 +214,68 @@ TEST(BlockCacheUnitTest, TinyLfuRejectsOneHitWondersAndKeepsHotEntries) {
   for (int i = 0; i < 8; ++i) EXPECT_NE(c.GetBlock(hot_a), nullptr);
   c.PutBlock(riser, MakeBlock(64, 9900));
   EXPECT_NE(c.GetBlock(riser), nullptr);
+}
+
+// The block cache and the result cache share one eviction and admission
+// policy: a seeded trace of the same gets and puts of the same batches must
+// leave both with the same residents and the same counts, under either
+// policy and either shard count.
+TEST(CacheParityTest, BlockAndResultCachesEvictAndAdmitAlike) {
+  constexpr size_t kKeys = 48;
+  std::vector<std::string> keys;
+  std::vector<std::shared_ptr<const RecordBatch>> batches;
+  uint64_t total_bytes = 0;
+  for (size_t k = 0; k < kKeys; ++k) {
+    keys.push_back(StrCat("key-", k));
+    batches.push_back(MakeBlock(8 + (k * 7) % 57, static_cast<int64_t>(k)));
+    total_bytes += batches.back()->MemoryBytes();
+  }
+  for (cache::AdmissionPolicy policy :
+       {cache::AdmissionPolicy::kLru, cache::AdmissionPolicy::kTinyLfu}) {
+    const bool tiny_lfu = policy == cache::AdmissionPolicy::kTinyLfu;
+    for (uint32_t shards : {1u, 8u}) {
+      SCOPED_TRACE(StrCat("tinylfu=", tiny_lfu, " shards=", shards));
+      LakehouseEnv lake;
+      BlockCacheOptions bopts;
+      bopts.capacity_bytes = total_bytes / 4;
+      bopts.shard_count = shards;
+      bopts.admission_policy = policy;
+      lake.ConfigureBlockCache(bopts);
+      cache::ResultCacheOptions ropts;
+      ropts.capacity_bytes = bopts.capacity_bytes;
+      ropts.shard_count = shards;
+      ropts.admission_policy = policy;
+      lake.ConfigureResultCache(ropts);
+      cache::BlockCache& bc = lake.block_cache();
+      cache::ResultCache& rc = lake.result_cache();
+
+      Random rng(1000 + shards);
+      for (int op = 0; op < 3000; ++op) {
+        const size_t k = rng.Skewed(kKeys);
+        if (rng.OneIn(3)) {
+          bc.PutBlock(keys[k], batches[k]);
+          rc.Put(keys[k], {"ds.t"}, batches[k]);
+        } else {
+          const bool block_hit = bc.GetBlock(keys[k]) != nullptr;
+          ASSERT_EQ(block_hit, rc.Get(keys[k]) != nullptr) << "op " << op;
+        }
+      }
+      cache::BlockCacheStats bs = bc.Stats();
+      cache::ResultCacheStats rs = rc.Stats();
+      EXPECT_GT(bs.evictions, 0u);
+      if (tiny_lfu) EXPECT_GT(bs.admission_rejections, 0u);
+      EXPECT_EQ(bs.evictions, rs.evictions);
+      EXPECT_EQ(bs.admission_rejections, rs.admission_rejections);
+      EXPECT_EQ(bs.entries, rs.entries);
+      EXPECT_EQ(bs.bytes_pinned, rs.bytes_pinned);
+      EXPECT_EQ(bs.hits, rs.hits);
+      EXPECT_EQ(bs.misses, rs.misses);
+      for (const std::string& key : keys) {
+        EXPECT_EQ(bc.PeekBlock(key) != nullptr, rc.Get(key) != nullptr)
+            << key;
+      }
+    }
+  }
 }
 
 // ---- End-to-end: scans through the engine ---------------------------------

@@ -1,5 +1,5 @@
 // Unit tests for the observability layer (src/obs/): metrics registry,
-// histogram bucketing, delta folding, trace span integrity, and the
+// histogram bucketing, concurrent updates, trace span integrity, and the
 // Prometheus-text dump format.
 
 #include <gtest/gtest.h>
@@ -92,51 +92,6 @@ TEST(HistogramTest, ExponentialBoundsAscend) {
   EXPECT_EQ(b.upper[1], 1000u);
   EXPECT_EQ(b.upper[2], 10000u);
   EXPECT_EQ(b.upper[3], 100000u);
-}
-
-TEST(MetricsDeltaTest, UpdatesAreBufferedUntilFolded) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("c");
-  Histogram* h = reg.GetHistogram("h");
-
-  std::vector<MetricsDelta> deltas(2);
-  {
-    ScopedMetricsDelta scope(&deltas[0]);
-    c->Add(7);
-    h->Observe(50);
-  }
-  {
-    ScopedMetricsDelta scope(&deltas[1]);
-    c->Add(5);
-  }
-  // Nothing visible until the fold.
-  EXPECT_EQ(c->Value(), 0u);
-  EXPECT_EQ(h->Count(), 0u);
-  EXPECT_FALSE(deltas[0].empty());
-
-  FoldDeltas(&deltas);
-  EXPECT_EQ(c->Value(), 12u);
-  EXPECT_EQ(h->Count(), 1u);
-  EXPECT_TRUE(deltas[0].empty());
-  EXPECT_TRUE(deltas[1].empty());
-}
-
-TEST(MetricsDeltaTest, NestedScopesRestoreThePreviousSink) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("c");
-  MetricsDelta outer, inner;
-  {
-    ScopedMetricsDelta o(&outer);
-    { ScopedMetricsDelta i(&inner); c->Add(1); }
-    c->Add(2);
-  }
-  c->Add(4);  // direct
-  EXPECT_EQ(c->Value(), 4u);
-  std::vector<MetricsDelta> all;
-  all.push_back(std::move(outer));
-  all.push_back(std::move(inner));
-  FoldDeltas(&all);
-  EXPECT_EQ(c->Value(), 7u);
 }
 
 TEST(MetricsTest, ConcurrentUpdatesUnderThreadPoolAreExact) {
